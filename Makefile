@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-robust bench-pipeline bench-serve bench-replan bench-fleet bench-durable
+.PHONY: check vet lint build test race bench bench-smoke bench-robust bench-pipeline
 
 # check is the tier-1 verification entry point: static analysis, build, the
 # full test suite, and the race detector over the concurrency-sensitive
@@ -32,8 +32,7 @@ test:
 # path (plus the fault/robustness machinery feeding it, the planning service
 # whose worker pool shares warm caches across jobs, the telemetry watcher and
 # event log hammered by concurrent pushes, the delta-compilation state in
-# internal/plan, the sharded simulator dispatch in internal/sim, the durable
-# store written from handlers/workers/monitors at once, and the front router
+# internal/plan, the durable store written from handlers/workers/monitors at once, and the front router
 # refreshing its backend view under concurrent submissions); running the
 # whole tree under -race multiplies the RL/experiment test time ~10x for no
 # extra coverage, so it is scoped deliberately.
@@ -49,12 +48,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'EvaluateCold|EvaluateCached|EvaluateBounded|RunEpisodesSequential|RunEpisodesParallel|RunEpisodes64$$|RunEpisodes64Pruned|SimReuse|SimPooledRun' -benchtime 2s -benchmem .
 	$(GO) test -run '^$$' -bench 'RunEpisodes64Incremental|RunEpisodes64MutationFull' -benchtime 20x -benchmem .
 
-# bench-smoke is the CI gate for the incremental-evaluation exhibit: an
-# in-process run of the same seeded ≤2-edit mutation episodes through the
-# delta path and the full pipeline that hard-fails when the episode-throughput
-# ratio drops below 2x (the recorded exhibit in BENCH_eval.json runs ~4x).
+# bench-smoke runs the CI speedup gates in bench_gate_test.go:
+# TestIncrementalSpeedupGate (delta vs full evaluation on the same seeded
+# mutation episodes, >= 2x) and TestFleetSpeedupGate (four leased jobs on one
+# Testbed64 vs the same jobs one at a time on the whole fleet, >= 1.5x).
 bench-smoke:
-	BENCH_SMOKE=1 $(GO) test -run TestIncrementalSpeedupGate -count=1 -v .
+	BENCH_SMOKE=1 $(GO) test -run 'SpeedupGate$$' -count=1 -v .
 
 # bench-robust regenerates the fault/replanning exhibit recorded in
 # BENCH_robust.json (nominal/p95/worst-case per workload + replan gains).
@@ -66,35 +65,3 @@ bench-robust:
 # the lowered-artifact cache).
 bench-pipeline:
 	$(GO) run ./cmd/heterog-bench -exp pipeline -out BENCH_pipeline.json
-
-# bench-serve regenerates the planning-service exhibit recorded in
-# BENCH_serve.json: an in-process server driven at several client
-# concurrency levels, reporting throughput, p50/p99 latency and the shared
-# warm-cache hit rates.
-bench-serve:
-	$(GO) run ./cmd/heterog-serve -loadgen -queue 16 -out BENCH_serve.json
-
-# bench-replan regenerates the online-replanning exhibit recorded in
-# BENCH_replan.json: an in-process server ingests a seeded drift trace at
-# POST /v1/jobs/{id}/telemetry, fires automatic warm-agent replans on every
-# detected episode, and records the full plan-update event log plus the
-# warm-set counters proving replans reattach to shared caches.
-bench-replan:
-	$(GO) run ./cmd/heterog-serve -driftbench -out BENCH_replan.json
-
-# bench-fleet regenerates the fleet-scheduling exhibit recorded in
-# BENCH_fleet.json: four concurrent jobs leased slices of one Testbed64 by
-# the fleet allocator vs the same jobs run one at a time on the whole fleet.
-# Exits non-zero when the aggregate speedup drops below the threshold.
-bench-fleet:
-	$(GO) run ./cmd/heterog-serve -fleetbench -out BENCH_fleet.json
-
-# bench-durable regenerates the durable-serving exhibit recorded in
-# BENCH_durable.json: a real heterog-serve subprocess on a file store is
-# SIGKILLed mid-batch and must recover every accepted job with gap-free event
-# logs after restart, then 3 replicas behind the affinity router are measured
-# against a single replica on a warm-capacity-bound workload mix. Exits
-# non-zero on any lost job, any event-log gap, or aggregate throughput below
-# 1.5x one replica.
-bench-durable:
-	$(GO) run ./cmd/heterog-serve -durablebench -out BENCH_durable.json

@@ -503,7 +503,7 @@ func BenchmarkRunEpisodes64Pruned(b *testing.B) {
 // mutation exhibit: an agent in mutation mode proposes ≤2-group edits against
 // a data-parallel incumbent on the 64-device testbed, with pruning armed and
 // the evaluation cache off. With delta true the evaluator routes through
-// EvaluateDelta (patch compilation, zero-diff memo, sharded simulation);
+// EvaluateDelta (patch compilation and the zero-diff memo);
 // with delta false every surviving proposal pays the full compile + simulate
 // price. Same proposal distribution either way — the eps/s ratio is the
 // incremental-evaluation speedup on identical work.
@@ -548,7 +548,6 @@ func benchMutationEpisodes(b *testing.B, delta bool, batch int) {
 	rep := ev.PipelineReport()
 	b.ReportMetric(float64(rep.Pruning.DeltaCompiles), "delta-compiles")
 	b.ReportMetric(float64(rep.Pruning.OpsRelowered), "ops-relowered")
-	b.ReportMetric(float64(rep.Pruning.SimsSharded), "sims-sharded")
 	b.ReportMetric(float64(rep.Reused), "reused")
 }
 

@@ -9,26 +9,15 @@
 // SIGINT/SIGTERM drains gracefully: the server stops accepting work,
 // finishes every job already admitted, then exits.
 //
-// With -loadgen the binary instead spins up an in-process server, drives it
-// with a mixed zoo workload at several client concurrency levels, and writes
-// the throughput/latency/cache-hit exhibit consumed by `make bench-serve`.
-//
-// With -driftbench it spins up an in-process server, streams a seeded
-// synthetic drift trace through POST /v1/jobs/{id}/telemetry, and writes the
-// online-replanning exhibit consumed by `make bench-replan`: every detected
-// drift episode, the automatic replan it fired, and the warm-cache counters.
-//
 // With -fleet-gpus the daemon runs in fleet mode: it owns one testbed and
 // the fleet allocator leases slices of it to submitted jobs (specs then omit
-// cluster fields; gpus caps the lease size). With -fleetbench it measures
-// that allocator against the sequential whole-fleet baseline and writes the
-// exhibit consumed by `make bench-fleet`, exiting non-zero when the
-// aggregate speedup falls below -fleet-threshold.
+// cluster fields; gpus caps the lease size).
+//
+// The bench/ module measures this daemon end to end (see bench/README.md).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,8 +27,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -59,21 +46,11 @@ func main() {
 	loweredCap := flag.Int("lowered-cache-cap", 0, "lowered-artifact cache entries per workload warm set (0 = default)")
 	warmSets := flag.Int("warm-sets", 0, "max distinct workloads with resident warm caches (0 = default)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	loadgen := flag.Bool("loadgen", false, "run the load-generator exhibit against an in-process server and exit")
-	out := flag.String("out", "BENCH_serve.json", "loadgen/driftbench: output path")
-	jobs := flag.Int("jobs", 8, "loadgen: jobs per concurrency level")
-	levels := flag.String("levels", "1,2,4,8", "loadgen: comma-separated client concurrency levels")
-	driftbench := flag.Bool("driftbench", false, "run the telemetry-driven replanning exhibit against an in-process server and exit")
-	driftSeed := flag.Int64("drift-seed", 7, "driftbench: drift-trace seed (same seed = identical trace)")
 	fleetGPUs := flag.Int("fleet-gpus", 0, "fleet mode: the server owns this testbed (4, 8, 12 or 64 GPUs) and leases slices of it to jobs; 0 = classic mode (each job brings its own cluster)")
-	fleetbench := flag.Bool("fleetbench", false, "run the fleet-scheduling exhibit (concurrent jobs on one Testbed64 vs sequential whole-fleet baseline) and exit")
-	fleetThreshold := flag.Float64("fleet-threshold", 1.5, "fleetbench: minimum aggregate speedup over the sequential baseline; below it the run exits non-zero")
 	storeDir := flag.String("store", "", "durable store directory: jobs, event logs, leases and warm artifacts survive restarts (empty = in-memory, restart starts empty)")
 	nodeID := flag.String("node", "", "replica name: prefixes job IDs and tags exported warm artifacts (required when several replicas share a router)")
 	peersCSV := flag.String("peers", "", "comma-separated peer replica base URLs for the warm-cache exchange")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts that pass -addr :0)")
-	durablebench := flag.Bool("durablebench", false, "run the durable-serving exhibit (kill-and-restart recovery + 3-replica throughput vs single) and exit")
-	durableThreshold := flag.Float64("durable-threshold", 1.5, "durablebench: minimum 3-replica aggregate throughput over one replica; below it (or any lost job) the run exits non-zero")
 	flag.Parse()
 
 	cfg := service.Config{
@@ -110,42 +87,6 @@ func main() {
 				log.Printf("pprof server: %v", err)
 			}
 		}()
-	}
-
-	if *loadgen {
-		if err := runLoadgen(cfg, *out, *jobs, *levels); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *driftbench {
-		if err := runDriftBench(cfg, *out, *driftSeed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *fleetbench {
-		fbOut := *out
-		if fbOut == "BENCH_serve.json" {
-			fbOut = "BENCH_fleet.json"
-		}
-		if err := runFleetBench(service.Config{Workers: *workers}, fbOut, *fleetThreshold); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *durablebench {
-		dbOut := *out
-		if dbOut == "BENCH_serve.json" {
-			dbOut = "BENCH_durable.json"
-		}
-		if err := runDurableBench(dbOut, *durableThreshold); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *storeDir != "" {
@@ -208,83 +149,4 @@ func main() {
 	st := srv.Stats()
 	log.Printf("drained: %d done, %d failed, %d canceled (%d accepted, %d rejected)",
 		st.Done, st.Failed, st.Canceled, st.Accepted, st.Rejected)
-}
-
-// benchOutput is the BENCH_serve.json schema.
-type benchOutput struct {
-	GeneratedAt string               `json:"generated_at"`
-	GoVersion   string               `json:"go_version"`
-	Workers     int                  `json:"workers"`
-	QueueDepth  int                  `json:"queue_depth"`
-	Workload    []string             `json:"workload"`
-	Results     []service.LoadResult `json:"results"`
-}
-
-// runLoadgen starts an in-process server on a loopback port and measures it
-// with the shared load generator.
-func runLoadgen(cfg service.Config, out string, jobsPerLevel int, levelsCSV string) error {
-	var levels []int
-	for _, f := range strings.Split(levelsCSV, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -levels entry %q", f)
-		}
-		levels = append(levels, n)
-	}
-
-	srv := service.New(cfg)
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-
-	// Mixed zoo workload: two distinct workloads so the warm-set registry
-	// holds several cache sets, each shared by repeated submissions.
-	specs := []cli.Spec{
-		{Model: "vgg19", Batch: 64, GPUs: 4, Seed: 1, Episodes: 1},
-		{Model: "resnet200", Batch: 64, GPUs: 4, Seed: 1, Episodes: 1},
-	}
-	var names []string
-	for _, sp := range specs {
-		names = append(names, fmt.Sprintf("%s@%d/gpus=%d", sp.Model, sp.Batch, sp.GPUs))
-	}
-
-	client := service.NewClient("http://" + ln.Addr().String())
-	log.Printf("loadgen: %d jobs per level over %v against %s (%d workers)",
-		jobsPerLevel, levels, ln.Addr(), srv.Config().Workers)
-	results, err := service.RunLoad(context.Background(), client, service.LoadConfig{
-		Specs:         specs,
-		Concurrencies: levels,
-		JobsPerLevel:  jobsPerLevel,
-	})
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		log.Printf("  conc %2d: %5.2f jobs/s  p50 %6.0fms  p99 %6.0fms  eval-hit %4.1f%%  lowered-hit %4.1f%%  (failed %d, 429-retries %d)",
-			r.Concurrency, r.Throughput, r.P50Sec*1e3, r.P99Sec*1e3,
-			100*r.EvalHitRate, 100*r.LoweredHitRate, r.Failed, r.Retries429)
-	}
-
-	bench := benchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Workers:     srv.Config().Workers,
-		QueueDepth:  srv.Config().QueueDepth,
-		Workload:    names,
-		Results:     results,
-	}
-	raw, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("loadgen: wrote %s", out)
-	return nil
 }

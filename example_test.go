@@ -38,10 +38,10 @@ func ExampleGetRunner() {
 	// feasible: true
 }
 
-// ExampleGetRunner_options shows the functional-options API: the same plan as
-// a legacy Config, plus robustness-aware search, which has no Config
-// equivalent. The plan is scored on 4 deterministic fault scenarios and
-// search optimizes a 50/50 blend of nominal and worst-case reward.
+// ExampleGetRunner_options shows the functional-options API with
+// robustness-aware search: the plan is scored on 4 deterministic fault
+// scenarios and search optimizes a 50/50 blend of nominal and worst-case
+// reward.
 func ExampleGetRunner_options() {
 	runner, err := heterog.GetRunner(
 		heterog.ZooModel(models.MobileNetV2, 64),

@@ -9,7 +9,7 @@
 //
 // The same loop runs as a service: heterog-serve ingests observations at
 // POST /v1/jobs/{id}/telemetry and fires these replans automatically (see
-// examples/serve and `make bench-replan`).
+// examples/serve and TestTelemetrySeededDriftTrace in internal/service).
 package main
 
 import (

@@ -17,8 +17,7 @@
 //
 // Configuration is expressed through functional Options (WithEpisodes,
 // WithSeed, WithDefaultOrder, WithAgent, WithBatchEpisodes, WithRobustness,
-// WithFaultSeed). The legacy *Config struct remains accepted — it implements
-// Option itself — but is deprecated in favor of the options.
+// WithFaultSeed, ...); nil Options are skipped.
 //
 // Clusters degrade in production: WithRobustness makes planning score every
 // candidate across K deterministic fault scenarios (stragglers, contended
@@ -103,40 +102,36 @@ func defaultSettings() settings {
 	return settings{episodes: 6, seed: 1, faultSeed: 1, pruning: true, halving: true}
 }
 
-// Option configures GetRunner. The legacy *Config also satisfies Option.
-type Option interface{ apply(*settings) }
-
-type optionFunc func(*settings)
-
-func (f optionFunc) apply(s *settings) { f(s) }
+// Option configures GetRunner.
+type Option func(*settings)
 
 // WithEpisodes sets the RL budget for strategy search on top of the
 // heuristic candidate pool (default 6).
 func WithEpisodes(n int) Option {
-	return optionFunc(func(s *settings) { s.episodes = n })
+	return func(s *settings) { s.episodes = n }
 }
 
 // WithSeed sets the profiling and agent seed (default 1).
 func WithSeed(seed int64) Option {
-	return optionFunc(func(s *settings) { s.seed = seed })
+	return func(s *settings) { s.seed = seed }
 }
 
 // WithDefaultOrder disables HeteroG's execution-order scheduling and keeps
 // the engine's FIFO order.
 func WithDefaultOrder() Option {
-	return optionFunc(func(s *settings) { s.useDefaultOrder = true })
+	return func(s *settings) { s.useDefaultOrder = true }
 }
 
 // WithAgent plans with an existing strategy-search agent (e.g. one
 // pre-trained on other graphs) instead of a fresh one.
 func WithAgent(a *agent.Agent) Option {
-	return optionFunc(func(s *settings) { s.agent = a })
+	return func(s *settings) { s.agent = a }
 }
 
 // WithBatchEpisodes sets the rollout batch size per policy update (0 keeps
 // the agent default).
 func WithBatchEpisodes(k int) Option {
-	return optionFunc(func(s *settings) { s.batchEpisodes = k })
+	return func(s *settings) { s.batchEpisodes = k }
 }
 
 // WithRobustness makes planning robustness-aware: every candidate strategy is
@@ -150,13 +145,13 @@ func WithBatchEpisodes(k int) Option {
 // The resulting nominal/p95/worst-case profile is available from
 // Runner.RobustReport.
 func WithRobustness(k int, blend float64) Option {
-	return optionFunc(func(s *settings) { s.faultK, s.blend = k, blend })
+	return func(s *settings) { s.faultK, s.blend = k, blend }
 }
 
 // WithFaultSeed sets the seed for fault-scenario generation (default 1).
 // Identical seeds yield bit-identical scenario sets and robustness scores.
 func WithFaultSeed(seed int64) Option {
-	return optionFunc(func(s *settings) { s.faultSeed = seed })
+	return func(s *settings) { s.faultSeed = seed }
 }
 
 // WithContext makes strategy search cancellable: planning checks the context
@@ -164,7 +159,7 @@ func WithFaultSeed(seed int64) Option {
 // errors.Is-detectable) once it fires. The planning service uses this for
 // per-job timeouts and client-initiated cancellation.
 func WithContext(ctx context.Context) Option {
-	return optionFunc(func(s *settings) { s.ctx = ctx })
+	return func(s *settings) { s.ctx = ctx }
 }
 
 // WithCaches plans through a shared warm-cache set instead of private
@@ -172,7 +167,7 @@ func WithContext(ctx context.Context) Option {
 // hit warm state. See CacheSet for the (model, cluster, seed) identity rule
 // the caller must uphold.
 func WithCaches(cs *CacheSet) Option {
-	return optionFunc(func(s *settings) { s.caches = cs })
+	return func(s *settings) { s.caches = cs }
 }
 
 // WithCacheCapacities sizes the runner's private evaluation and
@@ -180,7 +175,7 @@ func WithCaches(cs *CacheSet) Option {
 // Ignored when WithCaches supplies a shared set, which carries its own
 // capacities.
 func WithCacheCapacities(evalEntries, loweredEntries int) Option {
-	return optionFunc(func(s *settings) { s.evalCap, s.loweredCap = evalEntries, loweredEntries })
+	return func(s *settings) { s.evalCap, s.loweredCap = evalEntries, loweredEntries }
 }
 
 // WithPruning toggles bound-based candidate pruning during strategy search
@@ -192,7 +187,7 @@ func WithCacheCapacities(evalEntries, loweredEntries int) Option {
 // side evaluations of discarded candidates are skipped. Pass false for
 // exhibits that need exact timings for every candidate, not just the winner.
 func WithPruning(on bool) Option {
-	return optionFunc(func(s *settings) { s.pruning = on })
+	return func(s *settings) { s.pruning = on }
 }
 
 // WithHalving toggles successive-halving episode batches (default on): each
@@ -202,7 +197,7 @@ func WithPruning(on bool) Option {
 // sampled candidate (exact per-episode numbers at higher cost). Ignored when
 // WithAgent supplies a caller-configured agent.
 func WithHalving(on bool) Option {
-	return optionFunc(func(s *settings) { s.halving = on })
+	return func(s *settings) { s.halving = on }
 }
 
 // WithWarmStrategy warm-starts strategy search from a previously exported
@@ -221,7 +216,7 @@ func WithHalving(on bool) Option {
 // winning strategies keyed by workload fingerprint and cold peers plan with
 // WithWarmStrategy instead of from scratch.
 func WithWarmStrategy(raw []byte) Option {
-	return optionFunc(func(s *settings) { s.warmStrategy = raw })
+	return func(s *settings) { s.warmStrategy = raw }
 }
 
 // WithTelemetryThresholds sets the drift-detection thresholds used by
@@ -231,49 +226,7 @@ func WithWarmStrategy(raw []byte) Option {
 // package default. The thresholds are validated when the first watcher is
 // built, not here.
 func WithTelemetryThresholds(th telemetry.Thresholds) Option {
-	return optionFunc(func(s *settings) { s.drift = &th })
-}
-
-// Config is the legacy heterog_config object.
-//
-// Deprecated: pass Options instead — WithEpisodes, WithSeed, WithDefaultOrder
-// and WithAgent cover every Config field one-for-one. A *Config still works as
-// an Option, so existing call sites keep compiling, but the struct is frozen:
-// every knob added since (robustness, batched episodes, contexts, shared
-// caches, pruning, telemetry thresholds) exists only as an Option, and new
-// code should not introduce Config uses.
-type Config struct {
-	// Episodes is the RL budget for strategy search on top of the
-	// heuristic candidate pool (default 6).
-	Episodes int
-	// UseDefaultOrder disables HeteroG's execution-order scheduling and
-	// keeps the engine's FIFO order.
-	UseDefaultOrder bool
-	// Seed drives profiling and the agent (default 1).
-	Seed int64
-	// Agent overrides the strategy-search agent (e.g. one pre-trained on
-	// other graphs); nil builds a fresh one.
-	Agent *agent.Agent
-}
-
-// apply adapts the legacy struct onto the option pipeline; nil receivers
-// (from old `GetRunner(..., nil)` call sites) are no-ops.
-func (c *Config) apply(s *settings) {
-	if c == nil {
-		return
-	}
-	if c.Episodes != 0 {
-		s.episodes = c.Episodes
-	}
-	if c.UseDefaultOrder {
-		s.useDefaultOrder = true
-	}
-	if c.Seed != 0 {
-		s.seed = c.Seed
-	}
-	if c.Agent != nil {
-		s.agent = c.Agent
-	}
+	return func(s *settings) { s.drift = &th }
 }
 
 // Runner executes a planned distributed training model.
@@ -325,30 +278,10 @@ type RobustReport struct {
 }
 
 // GetRunner plans a distributed deployment for the model over the devices,
-// mirroring the paper's heterog.get_runner. Options (or a legacy *Config)
-// tune the search; see the package documentation for the catalogue.
+// mirroring the paper's heterog.get_runner. Options tune the search; see the
+// package documentation for the catalogue.
 func GetRunner(model ModelFunc, input InputFunc, devices *DeviceInfo, opts ...Option) (*Runner, error) {
-	cfg := defaultSettings()
-	for _, o := range opts {
-		if o != nil {
-			o.apply(&cfg)
-		}
-	}
-	g, err := model()
-	if err != nil {
-		return nil, fmt.Errorf("heterog: model_func: %w", err)
-	}
-	batch, err := input()
-	if err != nil {
-		return nil, fmt.Errorf("heterog: input_func: %w", err)
-	}
-	if batch > 0 {
-		g.BatchSize = batch
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("heterog: invalid model graph: %w", err)
-	}
-	return plan(g, devices.FullView(), cfg)
+	return GetRunnerView(model, input, devices.FullView(), opts...)
 }
 
 // GetRunnerView is GetRunner for a sub-cluster view: plan the model onto a
@@ -362,7 +295,7 @@ func GetRunnerView(model ModelFunc, input InputFunc, view *cluster.View, opts ..
 	cfg := defaultSettings()
 	for _, o := range opts {
 		if o != nil {
-			o.apply(&cfg)
+			o(&cfg)
 		}
 	}
 	g, err := model()
@@ -554,7 +487,7 @@ func (r *Runner) ReplanView(newDevices *cluster.View, opts ...Option) (*Runner, 
 	}
 	for _, o := range opts {
 		if o != nil {
-			o.apply(&cfg)
+			o(&cfg)
 		}
 	}
 	nr, err := plan(r.Graph, newDevices, cfg)

@@ -85,36 +85,6 @@ func TestGetRunnerRejectsInfeasibleModel(t *testing.T) {
 	}
 }
 
-func TestOptionsMatchLegacyConfig(t *testing.T) {
-	model := ZooModel(models.MobileNetV2, 64)
-	input := func() (int, error) { return 64, nil }
-	legacy, err := GetRunner(model, input, cluster.Testbed4(),
-		&Config{Episodes: 2, Seed: 7, UseDefaultOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := GetRunner(model, input, cluster.Testbed4(),
-		WithEpisodes(2), WithSeed(7), WithDefaultOrder())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Plan.PerIter != modern.Plan.PerIter {
-		t.Fatalf("options and legacy Config must plan identically: %v vs %v",
-			legacy.Plan.PerIter, modern.Plan.PerIter)
-	}
-	// Options are applied in order; a later option overrides an earlier
-	// Config, so migration can be incremental.
-	mixed, err := GetRunner(model, input, cluster.Testbed4(),
-		&Config{Episodes: 9, Seed: 7, UseDefaultOrder: true}, WithEpisodes(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.Plan.PerIter != modern.Plan.PerIter {
-		t.Fatalf("mixed Config+Option planning diverged: %v vs %v",
-			mixed.Plan.PerIter, modern.Plan.PerIter)
-	}
-}
-
 func TestRobustPlanningAndReport(t *testing.T) {
 	runner, err := GetRunner(
 		ZooModel(models.MobileNetV2, 64),

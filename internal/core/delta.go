@@ -21,11 +21,6 @@ type DeltaConfig struct {
 	// the new strategy becomes the next baseline). <= 0 selects
 	// plan.DefaultDeltaMaxOps.
 	MaxOps int
-	// ShardMinUnits gates the sharded simulator: graphs with at least this
-	// many execution units simulate through the GOMAXPROCS-sharded dispatcher
-	// (which degrades to the sequential loop on single-core machines).
-	// 0 selects sim.ShardMinUnits; negative disables sharding entirely.
-	ShardMinUnits int
 }
 
 func (c *DeltaConfig) maxOps() int {
@@ -35,21 +30,13 @@ func (c *DeltaConfig) maxOps() int {
 	return c.MaxOps
 }
 
-func (c *DeltaConfig) shardMinUnits() int {
-	if c == nil || c.ShardMinUnits == 0 {
-		return sim.ShardMinUnits
-	}
-	return c.ShardMinUnits
-}
-
 // EnableDelta arms incremental evaluation for subsequent EvaluateDelta calls:
 // mutation proposals are lowered by patching the retained baseline artifacts
-// (see plan.DeltaState) and big-M graphs simulate through the sharded
-// dispatcher. cfg may be nil for defaults. Call it after Iterations and
-// Ablate are final and before the evaluator is shared across goroutines; in
-// robustness mode each fault-scenario twin lazily gets its own delta state
-// the first time EvaluateDelta touches it (calling EnableDelta before or
-// after EnableRobustness both work).
+// (see plan.DeltaState). cfg may be nil for defaults. Call it after
+// Iterations and Ablate are final and before the evaluator is shared across
+// goroutines; in robustness mode each fault-scenario twin lazily gets its own
+// delta state the first time EvaluateDelta touches it (calling EnableDelta
+// before or after EnableRobustness both work).
 func (ev *Evaluator) EnableDelta(cfg *DeltaConfig) {
 	if cfg == nil {
 		cfg = &DeltaConfig{}
@@ -217,16 +204,8 @@ func (ev *Evaluator) evaluateDeltaOne(target *Evaluator, s *strategy.Strategy, t
 		return nil, fmt.Errorf("order %s: %w", target.Graph.Name, err)
 	}
 	ev.pipe.absorb(oa.Metrics)
-	dg, pr := oa.Dist, oa.Priorities
-	var res *sim.Result
-	if min := ev.Delta.shardMinUnits(); min > 0 && dg.NumUnits() >= min {
-		res, err = sim.RunBoundedSharded(dg, pr, simBound)
-		if err == nil {
-			ev.pipe.simSharded()
-		}
-	} else {
-		res, err = sim.RunBounded(dg, pr, simBound)
-	}
+	dg := oa.Dist
+	res, err := sim.RunBounded(dg, oa.Priorities, simBound)
 	if err != nil {
 		if errors.Is(err, sim.ErrBoundExceeded) {
 			ev.pipe.simAborted(time.Since(began))

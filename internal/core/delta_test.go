@@ -159,9 +159,9 @@ func TestEvaluateDeltaPrunesAgainstBound(t *testing.T) {
 	}
 }
 
-// TestEvaluateDeltaShardsBigClusters checks the Testbed64 regime routes
-// through the sharded simulator and counts it.
-func TestEvaluateDeltaShardsBigClusters(t *testing.T) {
+// TestEvaluateDeltaGoldenTestbed64 extends the golden pin to the 64-device
+// regime, where the delta path's graphs are largest.
+func TestEvaluateDeltaGoldenTestbed64(t *testing.T) {
 	g, err := models.Build("mobilenet_v2", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +189,6 @@ func TestEvaluateDeltaShardsBigClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameDeltaEval(t, "testbed64", got, want)
-	if rep := ev.PipelineReport().Pruning; rep.SimsSharded == 0 {
-		t.Fatalf("Testbed64 evaluation must route through the sharded simulator: %+v", rep)
-	}
 }
 
 // TestEvaluateDeltaWithoutEnableDegrades keeps the API safe to call blind.

@@ -60,9 +60,6 @@ type PruneReport struct {
 	// actually rebuilt across all delta compiles — the work the patch path
 	// did, as opposed to the full compile it avoided.
 	OpsRelowered int64 `json:"ops_relowered"`
-	// SimsSharded counts simulations dispatched through the sharded big-M
-	// simulator instead of the sequential event loop.
-	SimsSharded int64 `json:"sims_sharded"`
 	// TimeSaved estimates wall-clock evaluation time avoided: for each
 	// pruned candidate, the running mean duration of a full cold evaluation
 	// minus what the pruned attempt actually spent.
@@ -79,7 +76,6 @@ func (p *PruneReport) Add(o PruneReport) {
 	p.CandidatesHalved += o.CandidatesHalved
 	p.DeltaCompiles += o.DeltaCompiles
 	p.OpsRelowered += o.OpsRelowered
-	p.SimsSharded += o.SimsSharded
 	p.TimeSaved += o.TimeSaved
 }
 
@@ -205,15 +201,6 @@ func (p *pipeStats) deltaCompile(relowered int) {
 	p.mu.Lock()
 	p.prune.DeltaCompiles++
 	p.prune.OpsRelowered += int64(relowered)
-	p.mu.Unlock()
-}
-
-func (p *pipeStats) simSharded() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.prune.SimsSharded++
 	p.mu.Unlock()
 }
 

@@ -1,8 +1,7 @@
 // Package router is the thin front tier for a fleet of planning-service
 // replicas (cmd/heterog-route). It owns no planning state: it scores replicas
 // by queue depth and warm-cache affinity, forwards each submission to the best
-// one, remembers which replica owns which job, and reverse-proxies everything
-// else under /v1/ to the owner.
+// one, and reverse-proxies everything else under /v1/ to the job's owner.
 //
 // Placement is the whole point: on a fleet whose replicas each hold a bounded
 // number of warm cache sets, sending a repeat workload to the replica that
@@ -18,10 +17,12 @@
 // tie-breaker that spreads first-time workloads evenly). Backend views
 // (readiness, stats, peer index) refresh on a short TTL.
 //
-// Job routing uses the replica ID prefix when present ("<node>-job-000042"
-// → the backend whose stats report Node == "<node>"), the learned owner map
-// otherwise, and a broadcast probe as the last resort — so the router can
-// restart (or jobs can predate it) without orphaning anyone.
+// Job ownership has one rule: the replica ID prefix ("<node>-job-000042" →
+// the backend whose stats report Node == "<node>"). The router keeps no
+// per-job state, so it can restart (or jobs can predate it) without
+// orphaning anyone. An ID with no known prefix is not_found. A backend that
+// reports no node name never receives submissions, since the router could
+// not find its jobs again.
 package router
 
 import (
@@ -72,23 +73,13 @@ type backend struct {
 	assigned int
 }
 
-// maxOwners bounds the learned job->backend map. Replicas evict terminal
-// jobs themselves (MaxJobs retention), so an entry older than the newest
-// maxOwners routings is almost certainly dead; dropping it costs at worst an
-// ID-prefix match or one broadcast probe on the next request for that job.
-const maxOwners = 4096
-
 // Router scores and proxies. Serve its Handler.
 type Router struct {
 	cfg      Config
 	client   *http.Client
 	mu       sync.Mutex
 	backends []*backend
-	owners   map[string]string // job ID -> backend base URL
-	// ownerOrder remembers insertion order so owners stays bounded at
-	// maxOwners (FIFO eviction).
-	ownerOrder []string
-	routed     uint64
+	routed   uint64
 }
 
 // New builds a router over the given replica set.
@@ -103,7 +94,7 @@ func New(cfg Config) (*Router, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	rt := &Router{cfg: cfg, client: client, owners: make(map[string]string)}
+	rt := &Router{cfg: cfg, client: client}
 	for _, base := range cfg.Backends {
 		base = strings.TrimRight(base, "/")
 		u, err := url.Parse(base)
@@ -143,8 +134,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeError renders the service's error envelope. A 404 carries the
+// service's not_found code so clients map it to service.ErrNotFound.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]map[string]string{"error": {"code": "router", "message": msg}})
+	code := "router"
+	if status == http.StatusNotFound {
+		code = service.CodeNotFound
+	}
+	writeJSON(w, status, map[string]map[string]string{"error": {"code": code, "message": msg}})
 }
 
 // refreshLocked re-reads stale backend views. Callers hold rt.mu; the HTTP
@@ -183,7 +180,9 @@ func (rt *Router) refreshLocked() {
 			ctx, cancel := context.WithTimeout(context.Background(), rt.client.Timeout)
 			defer cancel()
 			v.ready = cl.Readyz(ctx) == nil
-			if st, err := cl.Stats(ctx); err == nil {
+			// A backend without a node name is never ready: its job IDs carry
+			// no prefix, so the router could not route to its jobs again.
+			if st, err := cl.Stats(ctx); err == nil && st.Node != "" {
 				v.node = st.Node
 				v.load = st.Waiting + st.Queued + st.Running
 			} else {
@@ -303,7 +302,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var st service.JobStatus
 		if json.Unmarshal(respBody, &st) == nil && st.ID != "" {
 			rt.mu.Lock()
-			rt.rememberOwnerLocked(st.ID, b.base)
 			rt.routed++
 			// The backend just got a job; make the next pick see it without
 			// waiting out the TTL.
@@ -321,58 +319,35 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(respBody)
 }
 
-// rememberOwnerLocked records which backend owns a job, evicting the oldest
-// entry once the map holds maxOwners. Callers hold rt.mu.
-func (rt *Router) rememberOwnerLocked(id, base string) {
-	if _, ok := rt.owners[id]; !ok {
-		rt.ownerOrder = append(rt.ownerOrder, id)
-		for len(rt.ownerOrder) > maxOwners {
-			delete(rt.owners, rt.ownerOrder[0])
-			rt.ownerOrder = rt.ownerOrder[1:]
-		}
+// ownerOf resolves which backend holds a job from its node prefix, or nil.
+func (rt *Router) ownerOf(id string) *backend {
+	i := strings.LastIndex(id, "-job-")
+	if i <= 0 {
+		return nil
 	}
-	rt.owners[id] = base
-}
-
-// ownerOf resolves which backend holds a job: the learned owner map, then the
-// node prefix on the job ID, then a broadcast status probe.
-func (rt *Router) ownerOf(ctx context.Context, id string) *backend {
-	rt.mu.Lock()
-	if base, ok := rt.owners[id]; ok {
-		for _, b := range rt.backends {
-			if b.base == base {
-				rt.mu.Unlock()
-				return b
-			}
-		}
-	}
-	if i := strings.LastIndex(id, "-job-"); i > 0 {
-		node := id[:i]
+	node := id[:i]
+	find := func() *backend {
 		for _, b := range rt.backends {
 			if b.node == node {
-				rt.mu.Unlock()
 				return b
 			}
 		}
+		return nil
 	}
-	backends := append([]*backend(nil), rt.backends...)
-	rt.mu.Unlock()
-	for _, b := range backends {
-		cl := service.NewClient(b.base)
-		cl.HTTPClient = rt.client
-		if _, err := cl.Status(ctx, id); err == nil {
-			rt.mu.Lock()
-			rt.rememberOwnerLocked(id, b.base)
-			rt.mu.Unlock()
-			return b
-		}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if b := find(); b != nil {
+		return b
 	}
-	return nil
+	// Node names arrive with backend refreshes: a router that has just
+	// started knows none yet.
+	rt.refreshLocked()
+	return find()
 }
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	b := rt.ownerOf(r.Context(), id)
+	b := rt.ownerOf(id)
 	if b == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no backend owns job %s", id))
 		return
@@ -433,8 +408,6 @@ type Status struct {
 	Backends []BackendStatus `json:"backends"`
 	// Routed counts submissions this router placed.
 	Routed uint64 `json:"routed"`
-	// Owned counts jobs in the owner map.
-	Owned int `json:"owned"`
 }
 
 // BackendStatus is one replica's cached view.
@@ -450,7 +423,7 @@ type BackendStatus struct {
 func (rt *Router) handleRouter(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	rt.refreshLocked()
-	st := Status{Routed: rt.routed, Owned: len(rt.owners)}
+	st := Status{Routed: rt.routed}
 	for _, b := range rt.backends {
 		st.Backends = append(st.Backends, BackendStatus{
 			Base: b.base, Node: b.node, Ready: b.ready,

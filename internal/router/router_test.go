@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,14 +14,14 @@ import (
 	"heterog/internal/service"
 )
 
-// fleet spins up n in-process replicas plus a router in front of them.
-func fleet(t *testing.T, n int) (*service.Client, []*service.Server) {
+// replicas starts n in-process replicas named a, b, c, ... and returns their
+// base URLs.
+func replicas(t *testing.T, n, warmSets int) []string {
 	t.Helper()
 	backends := make([]string, n)
-	servers := make([]*service.Server, n)
-	for i := 0; i < n; i++ {
+	for i := range backends {
 		srv, err := service.Open(service.Config{
-			Workers: 1, MaxWarmSets: 1,
+			Workers: 1, MaxWarmSets: warmSets,
 			NodeID: string(rune('a' + i)),
 		})
 		if err != nil {
@@ -29,15 +30,20 @@ func fleet(t *testing.T, n int) (*service.Client, []*service.Server) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); _ = srv.Close() })
 		backends[i] = ts.URL
-		servers[i] = srv
 	}
+	return backends
+}
+
+// front serves a router over the backends and returns a client for it.
+func front(t *testing.T, backends []string) *service.Client {
+	t.Helper()
 	rt, err := New(Config{Backends: backends, RefreshTTL: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(rt.Handler())
-	t.Cleanup(front.Close)
-	return service.NewClient(front.URL), servers
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return service.NewClient(ts.URL)
 }
 
 func spec(batch int) cli.Spec {
@@ -54,28 +60,32 @@ func nodeOf(t *testing.T, id string) string {
 	return id[:i]
 }
 
+// runJob submits the batch's workload through c and waits for it to finish.
+func runJob(t *testing.T, c *service.Client, batch int) *service.JobStatus {
+	t.Helper()
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Wait(ctx, st.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != service.JobDone {
+		t.Fatalf("job %s = %s (%s)", st.ID, fin.State, fin.Error)
+	}
+	return fin
+}
+
 // TestRouterAffinityAndProxy covers the router end to end: submissions spread
 // across replicas, repeat workloads stick to the replica that already planned
 // them, and per-job requests proxy to the owner.
 func TestRouterAffinityAndProxy(t *testing.T) {
 	ctx := context.Background()
-	c, _ := fleet(t, 2)
+	c := front(t, replicas(t, 2, 1))
 
-	run := func(batch int) *service.JobStatus {
-		t.Helper()
-		st, err := c.Submit(ctx, spec(batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fin, err := c.Wait(ctx, st.ID, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fin.State != service.JobDone {
-			t.Fatalf("job %s = %s (%s)", st.ID, fin.State, fin.Error)
-		}
-		return fin
-	}
+	run := func(batch int) *service.JobStatus { return runJob(t, c, batch) }
 
 	first := run(64)
 	second := run(96) // distinct workload: load-balanced to the colder replica
@@ -130,18 +140,78 @@ func TestRouterAffinityAndProxy(t *testing.T) {
 // TestRouterReadyz: ready while any backend is up; 503 when none are.
 func TestRouterReadyz(t *testing.T) {
 	ctx := context.Background()
-	rt, err := New(Config{Backends: []string{"http://127.0.0.1:1"}, RefreshTTL: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	if err := service.NewClient(front.URL).Readyz(ctx); err == nil {
+	if err := front(t, []string{"http://127.0.0.1:1"}).Readyz(ctx); err == nil {
 		t.Fatal("router ready with no reachable backend")
 	}
 
-	c, _ := fleet(t, 1)
+	c := front(t, replicas(t, 1, 1))
 	if err := c.Readyz(ctx); err != nil {
 		t.Fatalf("router with one live backend not ready: %v", err)
+	}
+
+	// A replica without a node name never takes submissions: the router
+	// could not find its jobs again.
+	srv := service.New(service.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); _ = srv.Close() })
+	if err := front(t, []string{ts.URL}).Readyz(ctx); err == nil {
+		t.Fatal("router ready with only a node-less backend")
+	}
+}
+
+// TestRouterOwnershipByPrefix: a job ID's node prefix is the only ownership
+// rule. IDs without a known prefix are not_found, and a router that never
+// routed a job still finds it on its replica.
+func TestRouterOwnershipByPrefix(t *testing.T) {
+	ctx := context.Background()
+	backends := replicas(t, 2, 1)
+	c := front(t, backends)
+	job := runJob(t, c, 64)
+
+	for _, id := range []string{"job-000001", "zz-job-000001"} {
+		if _, err := c.Status(ctx, id); !errors.Is(err, service.ErrNotFound) {
+			t.Fatalf("status %s: %v, want ErrNotFound", id, err)
+		}
+	}
+	fresh := front(t, backends)
+	st, err := fresh.Status(ctx, job.ID)
+	if err != nil || st.ID != job.ID || st.State != service.JobDone {
+		t.Fatalf("status %s via a fresh router: %+v, %v", job.ID, st, err)
+	}
+}
+
+// TestRouterWarmCapacity checks that replicas add warm capacity: six
+// workloads fit in three replicas of two warm sets each, so affinity sends
+// every repeat to a replica still holding its caches, while one replica of
+// two warm sets evicts each workload before it comes back.
+func TestRouterWarmCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans real models")
+	}
+	ctx := context.Background()
+	warmRepeats := func(n int) int {
+		c := front(t, replicas(t, n, 2))
+		warm := 0
+		for round := 0; round < 2; round++ {
+			for w := 0; w < 6; w++ {
+				fin := runJob(t, c, 32+16*w)
+				if round == 0 {
+					continue
+				}
+				rep, err := c.Report(ctx, fin.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Warm != nil && rep.Warm.SharedJobs == 2 {
+					warm++
+				}
+			}
+		}
+		return warm
+	}
+	three, one := warmRepeats(3), warmRepeats(1)
+	t.Logf("round-2 repeats planned warm: 3 replicas %d/6, 1 replica %d/6", three, one)
+	if three != 6 || one != 0 {
+		t.Fatalf("round-2 warm repeats: 3 replicas %d/6 (want 6), 1 replica %d/6 (want 0)", three, one)
 	}
 }

@@ -268,6 +268,46 @@ func TestPeerWarmExchange(t *testing.T) {
 	}
 }
 
+// slowArtifactStore delays every artifact write, widening the window between
+// a job finishing its plan and its artifact becoming visible.
+type slowArtifactStore struct{ store.Store }
+
+func (s slowArtifactStore) PutArtifact(key string, blob []byte) error {
+	time.Sleep(50 * time.Millisecond)
+	return s.Store.PutArtifact(key, blob)
+}
+
+// TestArtifactPublishedBeforeDone: once Wait reports done, the job's warm
+// artifact must already be listed in /v1/peer/cache, so a router that routes
+// the client's next resubmission sees the affinity.
+func TestArtifactPublishedBeforeDone(t *testing.T) {
+	ctx := context.Background()
+	_, c := newTestServer(t, Config{Workers: 1, NodeID: "a", Store: slowArtifactStore{store.NewMem()}})
+	key, err := WorkloadKey(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Submit(ctx, quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != JobDone {
+		t.Fatalf("job: %+v, %v", fin, err)
+	}
+	resp, err := http.Get(c.BaseURL + "/v1/peer/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var idx PeerCacheIndex
+	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Entries) != 1 || idx.Entries[0].Key != key {
+		t.Fatalf("peer index right after done = %+v, want the job's key %s", idx.Entries, key)
+	}
+}
+
 // TestSSEStreaming covers the streaming events endpoint at both levels: the
 // raw SSE wire format and the client's StreamEvents helper following a live
 // fleet job across frames.

@@ -543,6 +543,14 @@ func (s *Server) run(j *job) {
 		}
 		return s.plan(ctx, j)
 	}()
+	if err == nil {
+		// Export the winning strategy as a warm artifact so peers (and this
+		// server's own next incarnation) can warm-start the workload. It lands
+		// before the job reports done: a client that sees done and resubmits
+		// must find the artifact in /v1/peer/cache, or the router places the
+		// repeat with no affinity.
+		s.exportArtifact(j)
+	}
 
 	s.mu.Lock()
 	j.finished = s.now()
@@ -567,11 +575,6 @@ func (s *Server) run(j *job) {
 	// Terminal either way: hand the lease back and let the fleet rebalance
 	// (applyGrants inside takes s.mu per grant, so the lock is dropped first).
 	s.fleetRelease(j)
-	if err == nil {
-		// Export the winning strategy as a warm artifact so peers (and this
-		// server's own next incarnation) can warm-start the workload.
-		s.exportArtifact(j)
-	}
 }
 
 // planOptions maps the spec's knobs onto the public Options.
@@ -610,6 +613,7 @@ func planOptions(spec *cli.Spec) []heterog.Option {
 func (s *Server) plan(ctx context.Context, j *job) error {
 	s.mu.Lock()
 	ws := s.warmSetFor(j.warmKey)
+	cold := ws.jobs <= 1 // read under s.mu: other jobs bump it concurrently
 	s.mu.Unlock()
 
 	opts := append(planOptions(&j.spec), heterog.WithContext(ctx), heterog.WithCaches(ws.caches))
@@ -628,7 +632,7 @@ func (s *Server) plan(ctx context.Context, j *job) error {
 	} else {
 		// Cold workload on this replica: seed the search with an exported
 		// artifact — our own store first (restart warm-start), then peers.
-		if ws.jobs <= 1 {
+		if cold {
 			if raw := s.warmStrategyFor(j); len(raw) > 0 {
 				opts = append(opts, heterog.WithWarmStrategy(raw))
 			}

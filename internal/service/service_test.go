@@ -454,6 +454,20 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// cacheTotals sums hit counters across every warm set.
+type cacheTotals struct {
+	evalHits, lowHits uint64
+}
+
+func totals(st *ServerStats) cacheTotals {
+	var t cacheTotals
+	for _, ws := range st.WarmSets {
+		t.evalHits += ws.Eval.Hits
+		t.lowHits += ws.Lowered.Hits
+	}
+	return t
+}
+
 // TestStressSharedCaches is the -race exhibit: concurrent mixed zoo
 // submissions all reach done while sharing warm caches, and a second
 // identical batch shows a nonzero shared-cache hit rate.
@@ -510,9 +524,8 @@ func TestStressSharedCaches(t *testing.T) {
 	end := totals(srv.Stats())
 
 	// The second identical wave must hit the warm state the first built.
-	evalRate := hitRate(end.evalHits-mid.evalHits, end.evalMisses-mid.evalMisses)
-	if evalRate <= 0 {
-		t.Errorf("wave2 eval-cache hit rate = 0, want > 0 (hits %d→%d)", mid.evalHits, end.evalHits)
+	if end.evalHits == mid.evalHits {
+		t.Errorf("wave2 added no eval-cache hits, want > 0 (hits %d→%d)", mid.evalHits, end.evalHits)
 	}
 	// Lowered-artifact hits accrue within a wave (between jobs sharing a
 	// warm set); in wave2 the eval cache short-circuits lowering entirely,
@@ -532,34 +545,5 @@ func TestStressSharedCaches(t *testing.T) {
 	}
 	if st.Done != 8 {
 		t.Fatalf("done = %d, want 8", st.Done)
-	}
-}
-
-// TestLoadGenerator runs the bench-serve driver at tiny scale and sanity
-// checks its output shape.
-func TestLoadGenerator(t *testing.T) {
-	if testing.Short() {
-		t.Skip("plans real models")
-	}
-	_, c := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
-	results, err := RunLoad(context.Background(), c, LoadConfig{
-		Specs:         []cli.Spec{quickSpec()},
-		Concurrencies: []int{1, 2},
-		JobsPerLevel:  3,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.Failed != 0 || r.Throughput <= 0 || r.P50Sec <= 0 || r.P99Sec < r.P50Sec {
-			t.Fatalf("implausible result row: %+v", r)
-		}
-	}
-	// Level 2 reuses level 1's warm set: its hit rate must be warm.
-	if results[1].EvalHitRate <= 0 {
-		t.Fatalf("second level eval hit rate = %v, want > 0", results[1].EvalHitRate)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"heterog"
 	"heterog/internal/cli"
+	"heterog/internal/cluster"
 	"heterog/internal/telemetry"
 )
 
@@ -134,6 +135,84 @@ func TestTelemetryDriftReplanE2E(t *testing.T) {
 	tail, err := c.Events(ctx, src.ID, 2, 0)
 	if err != nil || len(tail) != 1 || tail[0].Seq != 3 {
 		t.Fatalf("events since 2 = %+v (err %v), want just seq 3", tail, err)
+	}
+}
+
+// TestTelemetrySeededDriftTrace streams a seeded synthetic drift trace at a
+// real plan and checks the online loop pays off: at least one automatic
+// replan is adopted and strictly beats the stale plan on the drifted
+// cluster, and at least one warm set is shared by two or more jobs with
+// evaluation-cache hits, so replans reattach to warm caches.
+func TestTelemetrySeededDriftTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans real models")
+	}
+	srv, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	// The coarse overlay quantum buckets drift regimes, so episodes whose
+	// smoothed state quantizes alike share one warm set.
+	st, err := c.Submit(ctx, cli.Spec{
+		Model: "vgg19", Batch: 192, GPUs: 8, Seed: 1, Episodes: 4,
+		Telemetry: &telemetry.Thresholds{Quantum: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != JobDone {
+		t.Fatalf("source job: %+v, %v", fin, err)
+	}
+
+	gen := telemetry.NewGenerator(cluster.Testbed8(), telemetry.GenConfig{Seed: 7})
+	var seen uint64
+	episodes, adopted := 0, 0
+	for !gen.Done() {
+		ack, err := c.PushTelemetry(ctx, st.ID, gen.Step())
+		if err != nil {
+			t.Fatalf("push tick %d: %v", gen.Tick(), err)
+		}
+		if !ack.Fired {
+			continue
+		}
+		// Block until the episode resolves so the trace pacing stays
+		// deterministic.
+		episodes++
+		deadline := time.Now().Add(2 * time.Minute)
+	episode:
+		for {
+			evs, err := c.Events(ctx, st.ID, seen, 10*time.Second)
+			if err != nil {
+				t.Fatalf("events: %v", err)
+			}
+			for _, ev := range evs {
+				seen = ev.Seq
+				switch ev.Type {
+				case EventReplanAdopted:
+					if ev.NewPerIterSec < ev.OldPerIterSec {
+						adopted++
+					}
+					break episode
+				case EventReplanKeptIncumbent, EventReplanFailed:
+					break episode
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("episode at tick %d never resolved", gen.Tick())
+			}
+		}
+	}
+
+	shared := 0
+	for _, ws := range srv.Stats().WarmSets {
+		if ws.Jobs >= 2 && ws.Eval.Hits > 0 {
+			shared++
+		}
+	}
+	t.Logf("%d drift episodes, %d replans adopted beating the stale plan, %d shared warm sets", episodes, adopted, shared)
+	if adopted == 0 {
+		t.Errorf("no adopted replan strictly beat the stale plan (%d episodes)", episodes)
+	}
+	if shared == 0 {
+		t.Errorf("no warm set was shared across jobs with eval hits; replans did not reattach to warm caches")
 	}
 }
 

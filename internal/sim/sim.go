@@ -451,13 +451,9 @@ func (s *Simulator) RunBounded(dg *compiler.DistGraph, priorities []float64, bou
 		s.dispatchAll(now)
 	}
 	if s.done != n {
-		return nil, deadlockErr(s.done, n)
+		return nil, fmt.Errorf("deadlock: executed %d of %d ops (cyclic or unreachable deps)", s.done, n)
 	}
 	return s.finish(dg, now), nil
-}
-
-func deadlockErr(done, n int) error {
-	return fmt.Errorf("deadlock: executed %d of %d ops (cyclic or unreachable deps)", done, n)
 }
 
 // finish seals the result after the event loop drains: makespan, busiest
