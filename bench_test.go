@@ -9,6 +9,7 @@ package heterog_test
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -16,8 +17,11 @@ import (
 	"heterog/internal/cluster"
 	"heterog/internal/core"
 	"heterog/internal/experiments"
+	"heterog/internal/gnn"
 	"heterog/internal/models"
+	"heterog/internal/nn"
 	"heterog/internal/plan"
+	"heterog/internal/policy"
 	"heterog/internal/sched"
 	"heterog/internal/sim"
 	"heterog/internal/strategy"
@@ -631,4 +635,70 @@ func BenchmarkSimulatorBert(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPolicyStep measures one policy step on a 500-group graph
+// (ResNet-200 on Testbed8, grouped as the agent groups it): the GAT encoder
+// and the strategy network forward, the REINFORCE surrogate, and the
+// backward pass, on a tape drawn from and returned to the shared pool as
+// the agent's rollout batches do. Run with -benchmem: allocations per op
+// track how much of the step the tape arena recycles.
+func BenchmarkPolicyStep(b *testing.B) {
+	g, err := models.Build("resnet200", 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view := cluster.Testbed8().FullView()
+	ev, err := core.NewEvaluator(g, view, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gr, err := strategy.Group(g, ev.Cost, agent.DefaultConfig(view.NumDevices()).MaxGroups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := view.NumDevices()
+	rng := rand.New(rand.NewSource(1))
+	gat, err := gnn.New(gnn.DefaultConfig(agent.FeatureDim(m)), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := policy.New(policy.DefaultConfig(gat.OutDim, strategy.ActionSpaceSize(m)), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	features := nn.NewMatrix(g.NumOps(), agent.FeatureDim(m))
+	features.Randomize(rng)
+	var edges [][2]int
+	for _, op := range g.Ops {
+		for _, in := range op.Inputs {
+			edges = append(edges, [2]int{in.ID, op.ID})
+		}
+	}
+	neighbors := gnn.Neighborhoods(g.NumOps(), edges)
+	picks := make([]int, gr.NumGroups())
+	weights := make([]float64, gr.NumGroups())
+	for i := range picks {
+		picks[i] = rng.Intn(strategy.ActionSpaceSize(m))
+		weights[i] = rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := nn.GetTape()
+		var params []*nn.Node
+		groups, err := gat.Forward(t, features, neighbors, gr.Members, &params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probs, err := net.Forward(t, groups, &params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := t.Backward(t.GatherLogProbs(probs, picks, weights)); err != nil {
+			b.Fatal(err)
+		}
+		nn.PutTape(t)
+	}
+	b.ReportMetric(float64(gr.NumGroups()), "groups")
 }

@@ -151,7 +151,6 @@ type graphState struct {
 	grouping  *strategy.Grouping
 	features  *nn.Matrix
 	neighbors [][]int
-	members   *nn.Matrix
 
 	// Mutation-mode incumbent: the rebase point mutation episodes diff
 	// against. Touched only by the (sequential) learning methods.
@@ -200,12 +199,10 @@ func (a *Agent) state(ev *core.Evaluator) (*graphState, error) {
 	if err != nil {
 		return nil, err
 	}
-	neighbors, members := encodeStructure(ev.Graph, gr)
 	st := &graphState{
 		grouping:  gr,
 		features:  encodeFeatures(ev),
-		neighbors: neighbors,
-		members:   members,
+		neighbors: encodeNeighbors(ev.Graph),
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -240,10 +237,12 @@ func (a *Agent) ReleaseState(ev *core.Evaluator) {
 }
 
 // forward runs GAT + strategy network, returning per-group action
-// probabilities and the parameter nodes for the update step.
+// probabilities and the parameter nodes for the update step. Every matrix
+// it returns lives in t's arena: callers read the probabilities before they
+// return t to the pool, and nothing they keep aliases them.
 func (a *Agent) forward(t *nn.Tape, st *graphState) (*nn.Node, []*nn.Node, error) {
 	var params []*nn.Node
-	groups, err := a.GAT.Forward(t, st.features, st.neighbors, st.members, &params)
+	groups, err := a.GAT.Forward(t, st.features, st.neighbors, st.grouping.Members, &params)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -388,7 +387,8 @@ func (a *Agent) RunEpisode(ev *core.Evaluator, learn, greedy bool) (*Episode, er
 	if err != nil {
 		return nil, err
 	}
-	t := nn.NewTape()
+	t := nn.GetTape()
+	defer nn.PutTape(t)
 	probs, params, err := a.forward(t, st)
 	if err != nil {
 		return nil, err
@@ -517,7 +517,10 @@ func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound 
 	if err != nil {
 		return nil, err
 	}
-	t := nn.NewTape()
+	// The tape and its arena are taken for this batch only: an agent never
+	// owns one, so the finished runners a service keeps hold no arena.
+	t := nn.GetTape()
+	defer nn.PutTape(t)
 	probs, params, err := a.forward(t, st)
 	if err != nil {
 		return nil, err

@@ -62,20 +62,33 @@ func TestFeatureEncoding(t *testing.T) {
 	}
 }
 
-func TestEncodeStructureMembershipIsMeanPooling(t *testing.T) {
+// TestGroupMembersAscendingPartition checks what the GAT's mean pooling
+// relies on: the agent's groupings list every op exactly once, and each
+// group's members in strictly ascending op order, so pooling sums member
+// embeddings in op order.
+func TestGroupMembersAscendingPartition(t *testing.T) {
 	ev := smallEvaluator(t)
-	gr, err := strategy.Group(ev.Graph, ev.Cost, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, members := encodeStructure(ev.Graph, gr)
-	for gi := 0; gi < members.Rows; gi++ {
-		var sum float64
-		for _, v := range members.Row(gi) {
-			sum += v
+	for _, maxGroups := range []int{10, 500} {
+		gr, err := strategy.Group(ev.Graph, ev.Cost, maxGroups)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("group %d membership weights sum to %v, want 1", gi, sum)
+		seen := make([]bool, ev.Graph.NumOps())
+		for gi, ms := range gr.Members {
+			for k, op := range ms {
+				if k > 0 && op <= ms[k-1] {
+					t.Fatalf("maxGroups %d: group %d members not strictly ascending: %v", maxGroups, gi, ms)
+				}
+				if seen[op] {
+					t.Fatalf("maxGroups %d: op %d in two groups", maxGroups, op)
+				}
+				seen[op] = true
+			}
+		}
+		for op, ok := range seen {
+			if !ok {
+				t.Fatalf("maxGroups %d: op %d in no group", maxGroups, op)
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"heterog/internal/gnn"
 	"heterog/internal/graph"
 	"heterog/internal/nn"
-	"heterog/internal/strategy"
 )
 
 // FeatureDim returns the node-feature width for a cluster of m devices:
@@ -76,24 +75,13 @@ func boolf(b bool) float64 {
 	return 0
 }
 
-// encodeStructure returns the neighbour lists and the group-membership
-// matrix for the GAT.
-func encodeStructure(g *graph.Graph, gr *strategy.Grouping) ([][]int, *nn.Matrix) {
+// encodeNeighbors returns the GAT's self-inclusive neighbour lists for g.
+func encodeNeighbors(g *graph.Graph) [][]int {
 	var edges [][2]int
 	for _, op := range g.Ops {
 		for _, in := range op.Inputs {
 			edges = append(edges, [2]int{in.ID, op.ID})
 		}
 	}
-	neighbors := gnn.Neighborhoods(g.NumOps(), edges)
-	members := nn.NewMatrix(gr.NumGroups(), g.NumOps())
-	for gi, ms := range gr.Members {
-		// Mean pooling keeps group embeddings on a common scale regardless
-		// of group size.
-		w := 1.0 / float64(len(ms))
-		for _, opID := range ms {
-			members.Set(gi, opID, w)
-		}
-	}
-	return neighbors, members
+	return gnn.Neighborhoods(g.NumOps(), edges)
 }

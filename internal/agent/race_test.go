@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"heterog/internal/core"
+	"heterog/internal/nn"
 )
 
 // TestConcurrentPlanSameEvaluator plans with two independent agents against
@@ -94,6 +95,58 @@ func TestConcurrentStateAccessSingleAgent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(states[i].grouping, states[0].grouping) {
 			t.Fatal("cached groupings diverge")
+		}
+	}
+}
+
+// TestConcurrentAgentsSharedTapePool runs agents on different evaluators
+// at once. Their rollout batches draw tapes from the one process-wide pool,
+// so arenas pass between agents; each agent must still end bit-identical
+// (parameters and rewards) to the same agent run alone.
+func TestConcurrentAgentsSharedTapePool(t *testing.T) {
+	evs := []*core.Evaluator{smallEvaluator(t), zooEvaluator(t, "mobilenet_v2")}
+	run := func(ev *core.Evaluator) (string, error) {
+		m := ev.Cluster.NumDevices()
+		a, err := New(DefaultConfig(m), m)
+		if err != nil {
+			return "", err
+		}
+		var rewards []float64
+		for round := 0; round < 2; round++ {
+			eps, err := a.RunEpisodes(ev, 2, true)
+			if err != nil {
+				return "", err
+			}
+			for _, ep := range eps {
+				rewards = append(rewards, ep.Reward)
+			}
+		}
+		return hashMatrices(append(agentParams(a), nn.FromRows([][]float64{rewards}))...), nil
+	}
+	want := make([]string, len(evs))
+	for i, ev := range evs {
+		var err error
+		if want[i], err = run(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]string, len(evs))
+	errs := make([]error, len(evs))
+	var wg sync.WaitGroup
+	for i, ev := range evs {
+		wg.Add(1)
+		go func(i int, ev *core.Evaluator) {
+			defer wg.Done()
+			got[i], errs[i] = run(ev)
+		}(i, ev)
+	}
+	wg.Wait()
+	for i := range evs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("agent %d on %s: concurrent run drifted from its sequential run", i, evs[i].Graph.Name)
 		}
 	}
 }

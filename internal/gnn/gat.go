@@ -30,8 +30,9 @@ type Layer struct {
 // projection producing per-group embeddings.
 type GAT struct {
 	Layers []*Layer
-	// Pool projects summed member embeddings to the group embedding
-	// (the paper's g_n = sigma(sum W e_o)).
+	// Pool projects pooled member embeddings to the group embedding (the
+	// paper's g_n = sigma(sum W e_o), with the sum taken as a mean so group
+	// embeddings share a scale regardless of group size).
 	Pool *nn.Matrix
 
 	InDim, HiddenDim, OutDim int
@@ -100,17 +101,22 @@ func Neighborhoods(n int, edges [][2]int) [][]int {
 }
 
 // Forward runs the GAT on node features (N x InDim) with self-inclusive
-// neighbour lists (see Neighborhoods) and a group-membership matrix members
-// (G x N, row g has 1 at each member op), returning per-group embeddings
-// (G x OutDim) and registering every parameter node in params. Attention is
-// computed sparsely per edge, so cost is O(E), not O(N²).
-func (g *GAT) Forward(t *nn.Tape, features *nn.Matrix, neighbors [][]int, members *nn.Matrix, params *[]*nn.Node) (*nn.Node, error) {
+// neighbour lists (see Neighborhoods) and per-group member lists (each a
+// strictly ascending list of node indices), returning per-group embeddings
+// (G x OutDim) and registering every parameter node in params. A group's
+// embedding pools the mean of its members' final-layer embeddings.
+// Attention is computed sparsely per edge, so cost is O(E), not O(N²).
+func (g *GAT) Forward(t *nn.Tape, features *nn.Matrix, neighbors [][]int, members [][]int, params *[]*nn.Node) (*nn.Node, error) {
 	n := features.Rows
 	if len(neighbors) != n {
 		return nil, fmt.Errorf("gnn: %d neighbour lists for %d nodes", len(neighbors), n)
 	}
-	if members.Cols != n {
-		return nil, fmt.Errorf("gnn: membership has %d cols, want %d", members.Cols, n)
+	for gi, ms := range members {
+		for k, m := range ms {
+			if m < 0 || m >= n || (k > 0 && m <= ms[k-1]) {
+				return nil, fmt.Errorf("gnn: group %d members %v are not ascending node indices below %d", gi, ms, n)
+			}
+		}
 	}
 	if features.Cols != g.InDim {
 		return nil, fmt.Errorf("gnn: features have width %d, want %d", features.Cols, g.InDim)
@@ -135,8 +141,8 @@ func (g *GAT) Forward(t *nn.Tape, features *nn.Matrix, neighbors [][]int, member
 		}
 		h = out
 	}
-	// Group pooling: sum member embeddings, project, non-linearity.
-	pooled := t.MatMul(t.Input(members), h) // G x hidden
+	// Group pooling: mean of member embeddings, project, non-linearity.
+	pooled := t.PoolRows(h, members) // G x hidden
 	pw := t.Param(g.Pool)
 	*params = append(*params, pw)
 	return t.ELU(t.MatMul(pooled, pw), 1.0), nil

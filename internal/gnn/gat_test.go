@@ -8,7 +8,7 @@ import (
 	"heterog/internal/nn"
 )
 
-func smallInputs(rng *rand.Rand, n, inDim, groups int) (*nn.Matrix, [][]int, *nn.Matrix) {
+func smallInputs(rng *rand.Rand, n, inDim, groups int) (*nn.Matrix, [][]int, [][]int) {
 	feats := nn.NewMatrix(n, inDim)
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
@@ -18,9 +18,9 @@ func smallInputs(rng *rand.Rand, n, inDim, groups int) (*nn.Matrix, [][]int, *nn
 		edges = append(edges, [2]int{i - 1, i})
 	}
 	neighbors := Neighborhoods(n, edges)
-	members := nn.NewMatrix(groups, n)
+	members := make([][]int, groups)
 	for i := 0; i < n; i++ {
-		members.Set(i%groups, i, 1)
+		members[i%groups] = append(members[i%groups], i)
 	}
 	return feats, neighbors, members
 }
@@ -77,9 +77,10 @@ func TestForwardShapeErrors(t *testing.T) {
 	if _, err := g.Forward(tp, feats, neighbors[:5], members, &params); err == nil {
 		t.Fatal("short neighbour list must error")
 	}
-	badMembers := nn.NewMatrix(3, 7)
-	if _, err := g.Forward(tp, feats, neighbors, badMembers, &params); err == nil {
-		t.Fatal("bad membership width must error")
+	for _, bad := range [][][]int{{{0, 10}}, {{-1}}, {{4, 2}}, {{3, 3}}} {
+		if _, err := g.Forward(tp, feats, neighbors, bad, &params); err == nil {
+			t.Fatalf("members %v must error: out of range or not strictly ascending", bad)
+		}
 	}
 	badFeats := nn.NewMatrix(10, 2)
 	if _, err := g.Forward(tp, badFeats, neighbors, members, &params); err == nil {
@@ -140,9 +141,7 @@ func TestMessagePassingRespectsGraphStructure(t *testing.T) {
 		feats.Data[i] = rng.NormFloat64()
 	}
 	neighbors := Neighborhoods(n, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
-	members := nn.NewMatrix(2, n)
-	members.Set(0, 0, 1) // group 0 = node 0 (component A)
-	members.Set(1, 3, 1) // group 1 = node 3 (component B)
+	members := [][]int{{0}, {3}} // group 0 = node 0 (component A), group 1 = node 3 (component B)
 	run := func() *nn.Matrix {
 		tp := nn.NewTape()
 		var params []*nn.Node

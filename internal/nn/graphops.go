@@ -20,18 +20,27 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 	if len(neighbors) != n {
 		panic("nn: GraphAttention neighbor list length mismatch")
 	}
-	v := NewMatrix(n, f)
-	// alphas[i][k] is the attention weight of neighbors[i][k];
-	// raws[i][k] the pre-activation logit (for the LeakyReLU derivative).
-	alphas := make([][]float64, n)
-	raws := make([][]float64, n)
+	v := t.alloc(n, f)
+	// alpha and raw are flat CSR buffers over the concatenated neighbour
+	// lists: entry off+k belongs to neighbors[i][k], where off is the
+	// total length of the lists before i. alpha holds the attention
+	// weights, raw the pre-activation logits (for the LeakyReLU
+	// derivative).
+	edges := 0
+	for _, nb := range neighbors {
+		edges += len(nb)
+	}
+	alphas := t.scratch(edges)
+	raws := t.scratch(edges)
+	off := 0
 	for i := 0; i < n; i++ {
 		nb := neighbors[i]
 		if len(nb) == 0 {
 			continue
 		}
-		alpha := make([]float64, len(nb))
-		raw := make([]float64, len(nb))
+		alpha := alphas[off : off+len(nb)]
+		raw := raws[off : off+len(nb)]
+		off += len(nb)
 		maxv := math.Inf(-1)
 		for k, j := range nb {
 			r := s1.Value.Data[i] + s2.Value.Data[j]
@@ -59,30 +68,48 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 				out[c] += a * hr[c]
 			}
 		}
-		alphas[i] = alpha
-		raws[i] = raw
 	}
-	node := t.node(v, nil, h, s1, s2)
+	node := t.node(v, h, s1, s2)
+	if !node.requiresGrad {
+		return node
+	}
 	node.back = func() {
+		dAlphas := t.scratch(edges)
+		var gh, gs1, gs2 *Matrix
+		if h.requiresGrad {
+			gh = t.grad(h)
+		}
+		if s1.requiresGrad {
+			gs1 = t.grad(s1)
+		}
+		if s2.requiresGrad {
+			gs2 = t.grad(s2)
+		}
+		off := 0
 		for i := 0; i < n; i++ {
 			nb := neighbors[i]
 			if len(nb) == 0 {
 				continue
 			}
 			gout := node.Grad.Row(i)
-			alpha := alphas[i]
-			raw := raws[i]
+			alpha := alphas[off : off+len(nb)]
+			raw := raws[off : off+len(nb)]
+			dAlpha := dAlphas[off : off+len(nb)]
+			off += len(nb)
 			// dα_ik = gout · h_k ; dh_k += α_ik gout
-			dAlpha := make([]float64, len(nb))
 			var dot float64
 			for k, j := range nb {
 				hr := h.Value.Row(j)
-				gh := h.Grad.Row(j)
 				var da float64
 				a := alpha[k]
 				for c := 0; c < f; c++ {
 					da += gout[c] * hr[c]
-					gh[c] += a * gout[c]
+				}
+				if gh != nil {
+					ghr := gh.Row(j)
+					for c := 0; c < f; c++ {
+						ghr[c] += a * gout[c]
+					}
 				}
 				dAlpha[k] = da
 				dot += a * da
@@ -92,8 +119,12 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 				if raw[k] < 0 {
 					de *= slope
 				}
-				s1.Grad.Data[i] += de
-				s2.Grad.Data[j] += de
+				if gs1 != nil {
+					gs1.Data[i] += de
+				}
+				if gs2 != nil {
+					gs2.Data[j] += de
+				}
 			}
 		}
 	}

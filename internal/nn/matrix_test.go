@@ -204,3 +204,102 @@ func TestOptimizerStateZeroesGrads(t *testing.T) {
 		t.Fatal("Step must zero gradients")
 	}
 }
+
+// naiveMatMulInto is the reference accumulation order of every multiply
+// kernel: dst += a·b with the plain i-k-j loop, skipping zero a entries.
+func naiveMatMulInto(dst, a, b *Matrix) {
+	n, k, p := a.Rows, a.Cols, b.Cols
+	for i := 0; i < n; i++ {
+		for kk := 0; kk < k; kk++ {
+			av := a.Data[i*k+kk]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < p; j++ {
+				dst.Data[i*p+j] += av * b.Data[kk*p+j]
+			}
+		}
+	}
+}
+
+// sparseRandMat is randMat with about a quarter of the entries zero and one
+// all-zero row, so the kernels' zero-skipping paths run.
+func sparseRandMat(rng *rand.Rand, r, c int) *Matrix {
+	m := randMat(rng, r, c)
+	for i := range m.Data {
+		if rng.Intn(4) == 0 {
+			m.Data[i] = 0
+		}
+	}
+	if r > 1 {
+		clear(m.Row(rng.Intn(r)))
+	}
+	return m
+}
+
+// TestKernelsBitEqualTransposePath checks the blocked kernels against the
+// reference loop over materialized transposes, bit for bit, on random shapes
+// that are not multiples of the 2x4 block, with a k range that crosses the
+// k tile, zero entries and a non-zero starting dst.
+func TestKernelsBitEqualTransposePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	dims := func() int { return 1 + rng.Intn(11) }
+	for trial := 0; trial < 60; trial++ {
+		n, k, p := dims(), dims(), dims()
+		if trial%10 == 0 {
+			k = tileK + 1 + rng.Intn(tileK)
+		}
+		start := randMat(rng, n, p)
+		check := func(name string, kernel func(dst, a, b *Matrix), a, b, refA, refB *Matrix) {
+			got, want := start.Clone(), start.Clone()
+			kernel(got, a, b)
+			naiveMatMulInto(want, refA, refB)
+			assertBitEqual(t, name, n, k, p, got, want)
+		}
+		a, b := sparseRandMat(rng, n, k), randMat(rng, k, p)
+		check("matmul", matmulInto, a, b, a, b)
+		bt := randMat(rng, p, k) // a·bᵀ reads b as p x k
+		check("matmulT", matmulTInto, a, bt, a, bt.Transpose())
+		at := sparseRandMat(rng, k, n) // aᵀ·b reads a as k x n
+		check("matmulTA", matmulTAInto, at, b, at.Transpose(), b)
+	}
+}
+
+func assertBitEqual(t *testing.T, name string, n, k, p int, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s (%dx%d)x(%dx%d): element %d = %v, transpose path %v", name, n, k, k, p, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestPoolRowsBitEqualDenseMembership checks the sparse mean pooling
+// against the dense membership matmul it replaces: forward values and the
+// gradient it passes back are bit-equal.
+func TestPoolRowsBitEqualDenseMembership(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const n, cols = 23, 6
+	groups := [][]int{{0, 3, 4, 9, 22}, {1}, {2, 5, 6, 7, 8, 10, 11}, {}, {12, 13, 14, 15, 16, 17, 18, 19, 20, 21}}
+	members := NewMatrix(len(groups), n)
+	for g, ms := range groups {
+		for _, m := range ms {
+			members.Set(g, m, 1.0/float64(len(ms)))
+		}
+	}
+	h := randMat(rng, n, cols)
+	w := randMat(rng, len(groups), cols)
+	run := func(pool func(tp *Tape, x *Node) *Node) (*Matrix, *Matrix) {
+		tp := NewTape()
+		x := tp.Param(h)
+		out := pool(tp, x)
+		if err := tp.Backward(tp.Sum(tp.Mul(out, tp.Input(w)))); err != nil {
+			t.Fatal(err)
+		}
+		return out.Value, x.Grad
+	}
+	gotV, gotG := run(func(tp *Tape, x *Node) *Node { return tp.PoolRows(x, groups) })
+	wantV, wantG := run(func(tp *Tape, x *Node) *Node { return tp.MatMul(tp.Input(members), x) })
+	assertBitEqual(t, "pool value", len(groups), n, n, gotV, wantV)
+	assertBitEqual(t, "pool grad", n, len(groups), len(groups), gotG, wantG)
+}

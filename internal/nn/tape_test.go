@@ -151,11 +151,22 @@ func TestGradLayerNorm(t *testing.T) {
 		})
 }
 
-func TestGradTranspose(t *testing.T) {
+func TestGradMatMulT(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	checkGrads(t, "transpose", []*Matrix{randMat(rng, 3, 4), randMat(rng, 3, 4)},
+	w := randMat(rng, 5, 3)
+	checkGrads(t, "matmulT", []*Matrix{randMat(rng, 5, 4), randMat(rng, 3, 4)},
 		func(tp *Tape, ins []*Node) *Node {
-			return tp.Sum(tp.MatMul(ins[0], tp.TransposeNode(ins[1])))
+			return tp.Sum(tp.Mul(tp.MatMulT(ins[0], ins[1]), tp.Input(w)))
+		})
+}
+
+func TestGradPoolRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	groups := [][]int{{0, 2, 5}, {1}, {}, {3, 4}}
+	w := randMat(rng, 4, 3)
+	checkGrads(t, "pool-rows", []*Matrix{randMat(rng, 6, 3)},
+		func(tp *Tape, ins []*Node) *Node {
+			return tp.Sum(tp.Mul(tp.PoolRows(ins[0], groups), tp.Input(w)))
 		})
 }
 

@@ -106,7 +106,7 @@ func (net *Network) Forward(t *nn.Tape, groups *nn.Node, params *[]*nn.Node) (*n
 		q := t.MatMul(x, p(b.Wq))
 		k := t.MatMul(x, p(b.Wk))
 		v := t.MatMul(x, p(b.Wv))
-		scores := t.Scale(t.MatMul(q, t.TransposeNode(k)), scale)
+		scores := t.Scale(t.MatMulT(q, k), scale)
 		attn := t.SoftmaxRows(scores)
 		ctx := t.MatMul(t.MatMul(attn, v), p(b.Wo))
 		x = t.LayerNorm(t.Add(x, ctx), p(b.G1), p(b.Bb1))

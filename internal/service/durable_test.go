@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -71,6 +72,10 @@ func TestCrashRecoveryClassic(t *testing.T) {
 	if fin, err := c.Wait(ctx, ids[0], 10*time.Second); err != nil || fin.State != JobDone {
 		t.Fatalf("job 1 before crash: %+v, %v", fin, err)
 	}
+	preCrash, err := c.Report(ctx, ids[0])
+	if err != nil {
+		t.Fatalf("report of job 1 before crash: %v", err)
+	}
 	// Wait until job 2 is inside the hook (persisted as running), then cut
 	// the power: the store is severed first (nothing after it reaches disk),
 	// so jobs 3 and 4 die queued and job 2 dies running.
@@ -109,8 +114,10 @@ func TestCrashRecoveryClassic(t *testing.T) {
 		}
 	}
 	// The pre-crash job's report must have survived via the store.
-	if _, err := c2.Report(ctx, ids[0]); err != nil {
+	if rep, err := c2.Report(ctx, ids[0]); err != nil {
 		t.Fatalf("report of pre-crash job: %v", err)
+	} else if !reflect.DeepEqual(rep, preCrash) {
+		t.Fatalf("recovered report %+v differs from the pre-crash report %+v", rep, preCrash)
 	}
 
 	// Dense event logs across the restart, and the recovery marker present.

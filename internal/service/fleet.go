@@ -300,20 +300,28 @@ func (s *Server) fleetRelease(j *job) {
 	if s.fleetAlloc == nil {
 		return
 	}
+	grants := s.fleetAlloc.Release(j.id)
 	s.mu.Lock()
+	s.leaseReleasedLocked(j)
+	s.mu.Unlock()
+	s.applyGrants(grants)
+}
+
+// leaseReleasedLocked drops a terminal job's lease and journals its release.
+// The allocator must already have freed the devices, so a client that sees
+// the lease-released event finds them free in the fleet status.
+func (s *Server) leaseReleasedLocked(j *job) {
 	released := j.lease
 	j.lease = nil // j.cluster stays: reports still describe the planned view
-	if released != nil {
-		s.fleetEventLocked(j, EventLeaseReleased, string(j.state))
-		s.persistLease(store.LeaseRecord{
-			Job:      j.id,
-			Lease:    released.ID,
-			Devices:  released.NumDevices(),
-			Seq:      released.Seq,
-			Released: true,
-		})
+	if released == nil {
+		return
 	}
-	s.mu.Unlock()
-	grants := s.fleetAlloc.Release(j.id)
-	s.applyGrants(grants)
+	s.fleetEventLocked(j, EventLeaseReleased, string(j.state))
+	s.persistLease(store.LeaseRecord{
+		Job:      j.id,
+		Lease:    released.ID,
+		Devices:  released.NumDevices(),
+		Seq:      released.Seq,
+		Released: true,
+	})
 }

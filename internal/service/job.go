@@ -73,9 +73,12 @@ type job struct {
 	// failure keeps the typed planning error (heterog.ErrOOM,
 	// heterog.ErrNoStrategy, ...) so artifact requests against a failed job
 	// can surface it through the error envelope with its stable code.
-	failure   error
-	runner    *heterog.Runner
-	report    *PlanReport
+	failure error
+	runner  *heterog.Runner
+	report  *PlanReport
+	// reportRaw is a recovered job's durable report, decoded into report
+	// on first use so a restart does not decode reports nobody reads.
+	reportRaw json.RawMessage
 	submitted time.Time
 	started   time.Time
 	finished  time.Time

@@ -105,6 +105,8 @@ func (s *Server) recordLocked(j *job) store.JobRecord {
 		if raw, err := json.Marshal(j.report); err == nil {
 			rec.Report = raw
 		}
+	} else {
+		rec.Report = j.reportRaw
 	}
 	return rec
 }
@@ -267,15 +269,23 @@ func (s *Server) recoverJob(rec store.JobRecord, events []store.EventRecord) (*j
 	if !j.state.Terminal() {
 		return j, false, nil
 	}
-	if len(rec.Report) > 0 {
-		var rep PlanReport
-		if err := json.Unmarshal(rec.Report, &rep); err != nil {
-			return nil, false, fmt.Errorf("service: recover %s: decode report: %w", rec.ID, err)
-		}
-		j.report = &rep
-	}
+	j.reportRaw = rec.Report
 	close(j.done)
 	return j, true, nil
+}
+
+// decodeReport decodes a recovered job's durable report on first use.
+// Callers hold s.mu.
+func (j *job) decodeReport() error {
+	if j.report != nil || len(j.reportRaw) == 0 {
+		return nil
+	}
+	var rep PlanReport
+	if err := json.Unmarshal(j.reportRaw, &rep); err != nil {
+		return fmt.Errorf("service: decode recovered report of %s: %w", j.id, err)
+	}
+	j.report, j.reportRaw = &rep, nil
+	return nil
 }
 
 // failRecoveredJob marks a recovered job whose spec no longer resolves as

@@ -552,6 +552,13 @@ func (s *Server) run(j *job) {
 		s.exportArtifact(j)
 	}
 
+	// Free a fleet lease before the job turns terminal: a client that sees
+	// the job finished must find the lease released on its event log and
+	// the devices free in the fleet status.
+	var grants []fleet.Grant
+	if s.fleetAlloc != nil {
+		grants = s.fleetAlloc.Release(j.id)
+	}
 	s.mu.Lock()
 	j.finished = s.now()
 	switch {
@@ -569,12 +576,13 @@ func (s *Server) run(j *job) {
 		j.err = err.Error()
 		j.failure = err
 	}
+	s.leaseReleasedLocked(j)
 	close(j.done)
 	s.persistJobLocked(j)
 	s.mu.Unlock()
-	// Terminal either way: hand the lease back and let the fleet rebalance
-	// (applyGrants inside takes s.mu per grant, so the lock is dropped first).
-	s.fleetRelease(j)
+	// Let the fleet rebalance (applyGrants takes s.mu per grant, so the lock
+	// is dropped first).
+	s.applyGrants(grants)
 }
 
 // planOptions maps the spec's knobs onto the public Options.
@@ -788,6 +796,9 @@ func (s *Server) Report(id string) (*PlanReport, error) {
 	j := s.jobs[id]
 	if j == nil {
 		return nil, ErrNotFound
+	}
+	if err := j.decodeReport(); err != nil {
+		return nil, err
 	}
 	if j.state != JobDone || j.report == nil {
 		return nil, notDoneLocked(j)
