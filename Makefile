@@ -32,12 +32,13 @@ test:
 # path (plus the fault/robustness machinery feeding it, the planning service
 # whose worker pool shares warm caches across jobs, the telemetry watcher and
 # event log hammered by concurrent pushes, the delta-compilation state in
-# internal/plan, the durable store written from handlers/workers/monitors at once, and the front router
-# refreshing its backend view under concurrent submissions); running the
+# internal/plan, the durable store written from handlers/workers/monitors at once, the front router
+# refreshing its backend view under concurrent submissions, and the nn kernels
+# and GAT encoder whose row bands run on several goroutines); running the
 # whole tree under -race multiplies the RL/experiment test time ~10x for no
 # extra coverage, so it is scoped deliberately.
 race:
-	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/...
+	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/... ./internal/nn/... ./internal/gnn/...
 
 # bench regenerates the evaluation fast-path numbers recorded in
 # BENCH_eval.json. The mutation-episode pair runs separately at a fixed

@@ -637,13 +637,20 @@ func BenchmarkSimulatorBert(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyStep measures one policy step on a 500-group graph
-// (ResNet-200 on Testbed8, grouped as the agent groups it): the GAT encoder
-// and the strategy network forward, the REINFORCE surrogate, and the
-// backward pass, on a tape drawn from and returned to the shared pool as
-// the agent's rollout batches do. Run with -benchmem: allocations per op
-// track how much of the step the tape arena recycles.
-func BenchmarkPolicyStep(b *testing.B) {
+// policyStep is one policy step on a 500-group graph (ResNet-200 on
+// Testbed8, grouped as the agent groups it): the GAT encoder and the
+// strategy network forward, the REINFORCE surrogate, and the backward pass.
+type policyStep struct {
+	gat       *gnn.GAT
+	net       *policy.Network
+	features  *nn.Matrix
+	neighbors [][]int
+	members   [][]int
+	picks     []int
+	weights   []float64
+}
+
+func newPolicyStep(b *testing.B) *policyStep {
 	g, err := models.Build("resnet200", 64)
 	if err != nil {
 		b.Fatal(err)
@@ -675,30 +682,73 @@ func BenchmarkPolicyStep(b *testing.B) {
 			edges = append(edges, [2]int{in.ID, op.ID})
 		}
 	}
-	neighbors := gnn.Neighborhoods(g.NumOps(), edges)
 	picks := make([]int, gr.NumGroups())
 	weights := make([]float64, gr.NumGroups())
 	for i := range picks {
 		picks[i] = rng.Intn(strategy.ActionSpaceSize(m))
 		weights[i] = rng.NormFloat64()
 	}
+	return &policyStep{
+		gat:       gat,
+		net:       net,
+		features:  features,
+		neighbors: gnn.Neighborhoods(g.NumOps(), edges),
+		members:   gr.Members,
+		picks:     picks,
+		weights:   weights,
+	}
+}
+
+// run performs one step on a tape drawn from and returned to the shared
+// pool, as the agent's rollout batches do. It only reads the network's
+// parameters, so steps may run concurrently.
+func (s *policyStep) run() error {
+	t := nn.GetTape()
+	defer nn.PutTape(t)
+	var params []*nn.Node
+	groups, err := s.gat.Forward(t, s.features, s.neighbors, s.members, &params)
+	if err != nil {
+		return err
+	}
+	probs, err := s.net.Forward(t, groups, &params)
+	if err != nil {
+		return err
+	}
+	return t.Backward(t.GatherLogProbs(probs, s.picks, s.weights))
+}
+
+// BenchmarkPolicyStep measures one policy step on a 500-group graph. Run
+// with -benchmem: allocations per op track how much of the step the tape
+// arena recycles. With -cpu 1 the kernels run on one goroutine; above it
+// they split their rows into bands across cores.
+func BenchmarkPolicyStep(b *testing.B) {
+	s := newPolicyStep(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := nn.GetTape()
-		var params []*nn.Node
-		groups, err := gat.Forward(t, features, neighbors, gr.Members, &params)
-		if err != nil {
+		if err := s.run(); err != nil {
 			b.Fatal(err)
 		}
-		probs, err := net.Forward(t, groups, &params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := t.Backward(t.GatherLogProbs(probs, picks, weights)); err != nil {
-			b.Fatal(err)
-		}
-		nn.PutTape(t)
 	}
-	b.ReportMetric(float64(gr.NumGroups()), "groups")
+	b.ReportMetric(float64(len(s.members)), "groups")
+}
+
+// BenchmarkPolicyStepConcurrent runs GOMAXPROCS policy steps at once, each
+// on its own tape, as the planning service's worker pool (Workers =
+// GOMAXPROCS) runs jobs. Every step's kernels fork their own row bands, so
+// this is the oversubscribed case; ns/op is wall time over all steps, the
+// inverse of aggregate throughput.
+func BenchmarkPolicyStepConcurrent(b *testing.B) {
+	s := newPolicyStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := s.run(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(len(s.members)), "groups")
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"heterog/internal/cluster"
@@ -76,11 +78,44 @@ func agentParams(a *Agent) []*nn.Matrix {
 // batches of four rollouts plus one greedy episode on three zoo models
 // (Testbed8, seed 1) must leave every parameter, the final action
 // probabilities and every reward exactly as recorded. Any kernel, tape or
-// encoder change that reorders a floating-point sum fails it.
+// encoder change that reorders a floating-point sum fails it. It runs at
+// GOMAXPROCS 1 and 4 against the same golden, because the kernels split
+// their rows into bands across cores and a seed must reproduce a run on any
+// core count.
 func TestPolicyStepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 13 episodes on each of three zoo models")
 	}
+	if *updatePolicyGolden {
+		data, err := json.MarshalIndent(policyStepCases(t), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(policyGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", policyGoldenPath)
+		return
+	}
+	data, err := os.ReadFile(policyGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update-policy to create)", err)
+	}
+	var want []policyGolden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			comparePolicyGolden(t, policyStepCases(t), want)
+		})
+	}
+}
+
+// policyStepCases runs the golden's episodes and hashes what they leave.
+func policyStepCases(t *testing.T) []policyGolden {
+	t.Helper()
 	var got []policyGolden
 	for _, key := range []string{"inception_v3", "resnet200", "transformer6"} {
 		ev := zooEvaluator(t, key)
@@ -115,25 +150,11 @@ func TestPolicyStepGolden(t *testing.T) {
 			Rewards: rewards,
 		})
 	}
-	if *updatePolicyGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(policyGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", policyGoldenPath)
-		return
-	}
-	data, err := os.ReadFile(policyGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update-policy to create)", err)
-	}
-	var want []policyGolden
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	return got
+}
+
+func comparePolicyGolden(t *testing.T, got, want []policyGolden) {
+	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d cases, got %d", len(want), len(got))
 	}

@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"heterog/internal/nn"
@@ -167,5 +168,51 @@ func TestMessagePassingRespectsGraphStructure(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("perturbation did not propagate within its own component")
+	}
+}
+
+// TestForwardBitEqualAcrossProcs runs the encoder forward and backward on a
+// graph large enough for its kernels and attention to split into row bands
+// across cores, at GOMAXPROCS 1, 2 and 4, and requires the group embeddings
+// and every parameter gradient to match bit for bit.
+func TestForwardBitEqualAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(6))
+	cfg := DefaultConfig(8)
+	g, err := New(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats, neighbors, members := smallInputs(rng, 1501, cfg.InDim, 37)
+	w := nn.NewMatrix(len(members), cfg.OutDim)
+	w.Randomize(rng)
+	run := func() []*nn.Matrix {
+		tp := nn.NewTape()
+		var params []*nn.Node
+		out, err := g.Forward(tp, feats, neighbors, members, &params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.Backward(tp.Sum(tp.Mul(out, tp.Input(w)))); err != nil {
+			t.Fatal(err)
+		}
+		res := []*nn.Matrix{out.Value}
+		for _, p := range params {
+			res = append(res, p.Grad)
+		}
+		return res
+	}
+	runtime.GOMAXPROCS(1)
+	want := run()
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := run()
+		for m := range want {
+			for i := range want[m].Data {
+				if math.Float64bits(got[m].Data[i]) != math.Float64bits(want[m].Data[i]) {
+					t.Fatalf("GOMAXPROCS=%d: output %d element %d = %v, serial %v", procs, m, i, got[m].Data[i], want[m].Data[i])
+				}
+			}
+		}
 	}
 }

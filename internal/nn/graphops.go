@@ -2,6 +2,9 @@ package nn
 
 import "math"
 
+// attentionSlope is the negative slope of GraphAttention's LeakyReLU.
+const attentionSlope = 0.2
+
 // GraphAttention records one sparse GAT attention head:
 //
 //	e_ij   = LeakyReLU(s1_i + s2_j, 0.2)      for j in neighbors[i]
@@ -10,9 +13,9 @@ import "math"
 //
 // h is N x F (the projected features), s1 and s2 are N x 1 attention scores,
 // and neighbors[i] lists node i's neighbourhood (include i itself for the
-// paper's self-inclusive N_o). Memory and time are O(E), not O(N²).
+// paper's self-inclusive N_o). Memory and time are O(E), not O(N²). The
+// forward pass runs in row bands across cores.
 func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
-	const slope = 0.2
 	n, f := h.Value.Rows, h.Value.Cols
 	if s1.Value.Rows != n || s2.Value.Rows != n || s1.Value.Cols != 1 || s2.Value.Cols != 1 {
 		panic("nn: GraphAttention score shape mismatch")
@@ -32,47 +35,22 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 	}
 	alphas := t.scratch(edges)
 	raws := t.scratch(edges)
-	off := 0
-	for i := 0; i < n; i++ {
-		nb := neighbors[i]
-		if len(nb) == 0 {
-			continue
-		}
-		alpha := alphas[off : off+len(nb)]
-		raw := raws[off : off+len(nb)]
-		off += len(nb)
-		maxv := math.Inf(-1)
-		for k, j := range nb {
-			r := s1.Value.Data[i] + s2.Value.Data[j]
-			raw[k] = r
-			e := r
-			if e < 0 {
-				e *= slope
-			}
-			alpha[k] = e
-			if e > maxv {
-				maxv = e
-			}
-		}
-		var sum float64
-		for k := range alpha {
-			alpha[k] = math.Exp(alpha[k] - maxv)
-			sum += alpha[k]
-		}
-		out := v.Row(i)
-		for k, j := range nb {
-			alpha[k] /= sum
-			hr := h.Value.Row(j)
-			a := alpha[k]
-			for c := 0; c < f; c++ {
-				out[c] += a * hr[c]
-			}
-		}
+	// Node i writes only out row i and its own CSR entries, so the nodes
+	// run in row bands across cores.
+	if size := bandRows(n, edges*f); size < n {
+		parallelRows(n, size, func(lo, hi int) {
+			graphAttentionBand(v, h.Value, s1.Value, s2.Value, neighbors, alphas, raws, lo, hi)
+		})
+	} else {
+		graphAttentionBand(v, h.Value, s1.Value, s2.Value, neighbors, alphas, raws, 0, n)
 	}
 	node := t.node(v, h, s1, s2)
 	if !node.requiresGrad {
 		return node
 	}
+	// The backward pass scatters into the rows of gh and into gs2 from
+	// every node whose neighbourhood holds them, a sum across rows, so it
+	// stays on one goroutine.
 	node.back = func() {
 		dAlphas := t.scratch(edges)
 		var gh, gs1, gs2 *Matrix
@@ -117,7 +95,7 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 			for k, j := range nb {
 				de := alpha[k] * (dAlpha[k] - dot)
 				if raw[k] < 0 {
-					de *= slope
+					de *= attentionSlope
 				}
 				if gs1 != nil {
 					gs1.Data[i] += de
@@ -129,4 +107,52 @@ func (t *Tape) GraphAttention(h, s1, s2 *Node, neighbors [][]int) *Node {
 		}
 	}
 	return node
+}
+
+// graphAttentionBand computes out rows [lo, hi) of GraphAttention into v,
+// and the CSR entries of alphas and raws that belong to those nodes. It
+// finds its first CSR offset by summing the list lengths before lo, which
+// is cheaper than keeping an offset table per call.
+func graphAttentionBand(v, h, s1, s2 *Matrix, neighbors [][]int, alphas, raws []float64, lo, hi int) {
+	f := h.Cols
+	off := 0
+	for _, nb := range neighbors[:lo] {
+		off += len(nb)
+	}
+	for i := lo; i < hi; i++ {
+		nb := neighbors[i]
+		if len(nb) == 0 {
+			continue
+		}
+		alpha := alphas[off : off+len(nb)]
+		raw := raws[off : off+len(nb)]
+		off += len(nb)
+		maxv := math.Inf(-1)
+		for k, j := range nb {
+			r := s1.Data[i] + s2.Data[j]
+			raw[k] = r
+			e := r
+			if e < 0 {
+				e *= attentionSlope
+			}
+			alpha[k] = e
+			if e > maxv {
+				maxv = e
+			}
+		}
+		var sum float64
+		for k := range alpha {
+			alpha[k] = math.Exp(alpha[k] - maxv)
+			sum += alpha[k]
+		}
+		out := v.Row(i)
+		for k, j := range nb {
+			alpha[k] /= sum
+			hr := h.Row(j)
+			a := alpha[k]
+			for c := 0; c < f; c++ {
+				out[c] += a * hr[c]
+			}
+		}
+	}
 }

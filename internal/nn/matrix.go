@@ -55,6 +55,11 @@ func (m *Matrix) Clone() *Matrix {
 // Row returns a view of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// rowBand returns rows [lo, hi) of m as a matrix sharing m's storage.
+func rowBand(m *Matrix, lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
@@ -78,7 +83,9 @@ func (m *Matrix) Randomize(rng *rand.Rand) {
 // i-k-j loop over materialized operands (for a·bᵀ and aᵀ·b: over the
 // materialized transpose). The kernels block over pairs of dst rows and
 // quads of dst columns, eight running sums per block; they never
-// split or reassociate the k sum.
+// split or reassociate the k sum. Each kernel splits its dst rows into
+// bands across cores (parallelRows), so every dst element is still
+// computed by one goroutine in that order.
 
 // checkMatMul panics unless dst (n x p) can hold the product of an n x k
 // left operand and a k x p right operand.
@@ -100,8 +107,22 @@ func dotTail(s float64, a []float64, as int, b []float64, bs, k int) float64 {
 	return s
 }
 
-// matmulInto computes dst += a·b.
+// matmulInto computes dst += a·b, in row bands across cores.
 func matmulInto(dst, a, b *Matrix) {
+	n := a.Rows
+	size := bandRows(n, n*a.Cols*b.Cols)
+	if size >= n {
+		matmulSerial(dst, a, b)
+		return
+	}
+	// Each band checks only its own rows, so check the whole product first.
+	checkMatMul("matmul", dst, n, a.Cols, b.Rows, b.Cols)
+	parallelRows(n, size, func(lo, hi int) { matmulSerial(rowBand(dst, lo, hi), rowBand(a, lo, hi), b) })
+}
+
+// matmulSerial computes dst += a·b on the calling goroutine; matmulInto
+// runs it on each band's rows of dst and a (rowBand).
+func matmulSerial(dst, a, b *Matrix) {
 	checkMatMul("matmul", dst, a.Rows, a.Cols, b.Rows, b.Cols)
 	n, k, p := a.Rows, a.Cols, b.Cols
 	bd := b.Data
@@ -152,8 +173,26 @@ func matmulInto(dst, a, b *Matrix) {
 }
 
 // matmulTInto computes dst += a·bᵀ without materializing the transpose: a is
-// n x k, b is p x k, and both operands are read along contiguous rows.
+// n x k, b is p x k, and both operands are read along contiguous rows. It
+// runs in row bands across cores.
 func matmulTInto(dst, a, b *Matrix) {
+	n := a.Rows
+	size := bandRows(n, n*a.Cols*b.Rows)
+	if size >= n {
+		matmulTSerial(dst, a, b)
+		return
+	}
+	// Each band checks only its own rows, so check the whole product first.
+	checkMatMul("matmulT", dst, n, a.Cols, b.Cols, b.Rows)
+	parallelRows(n, size, func(lo, hi int) { matmulTSerial(rowBand(dst, lo, hi), rowBand(a, lo, hi), b) })
+}
+
+// matmulTSerial computes dst += a·bᵀ on the calling goroutine; matmulTInto
+// runs it on each band's rows of dst and a (rowBand). Its shape check stays
+// although matmulTInto checks too: without it, or with a row-range
+// parameter, Go 1.24 on amd64 spills the inner loop counter and the
+// kernel runs ~10% slower.
+func matmulTSerial(dst, a, b *Matrix) {
 	checkMatMul("matmulT", dst, a.Rows, a.Cols, b.Cols, b.Rows)
 	n, k, p := a.Rows, a.Cols, b.Rows
 	i := 0
@@ -216,15 +255,26 @@ func matmulTInto(dst, a, b *Matrix) {
 const tileK = 256
 
 // matmulTAInto computes dst += aᵀ·b without materializing the transpose: a
-// is k x n, b is k x p.
+// is k x n, b is k x p. It runs in bands of dst rows (columns of a) across
+// cores; every band walks all the k tiles in ascending order.
 func matmulTAInto(dst, a, b *Matrix) {
 	checkMatMul("matmulTA", dst, a.Cols, a.Rows, b.Rows, b.Cols)
+	n := a.Cols
+	if size := bandRows(n, n*a.Rows*b.Cols); size < n {
+		parallelRows(n, size, func(lo, hi int) { matmulTARows(dst, a, b, lo, hi) })
+	} else {
+		matmulTARows(dst, a, b, 0, n)
+	}
+}
+
+// matmulTARows computes dst rows [lo, hi) of dst += aᵀ·b.
+func matmulTARows(dst, a, b *Matrix, lo, hi int) {
 	n, k, p := a.Cols, a.Rows, b.Cols
 	ad, bd := a.Data, b.Data
 	for k0 := 0; k0 < k; k0 += tileK {
 		kt := min(tileK, k-k0)
-		i := 0
-		for ; i+2 <= n; i += 2 {
+		i := lo
+		for ; i+2 <= hi; i += 2 {
 			d0 := dst.Data[i*p : (i+1)*p]
 			d1 := dst.Data[(i+1)*p : (i+2)*p]
 			j := 0
@@ -258,7 +308,7 @@ func matmulTAInto(dst, a, b *Matrix) {
 				d1[j] = dotTail(d1[j], ad[k0*n+i+1:], n, bd[k0*p+j:], p, kt)
 			}
 		}
-		if i < n {
+		if i < hi {
 			drow := dst.Data[i*p : (i+1)*p]
 			for j := range drow {
 				drow[j] = dotTail(drow[j], ad[k0*n+i:], n, bd[k0*p+j:], p, kt)

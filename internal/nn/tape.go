@@ -432,11 +432,34 @@ func (t *Tape) MaskedSoftmaxRows(a *Node, mask *Matrix) *Node {
 func (t *Tape) SoftmaxRows(a *Node) *Node { return t.softmaxRows(a, nil) }
 
 // softmaxRows is the row-wise softmax over the positions where mask is
-// non-zero; a nil mask keeps every position.
+// non-zero; a nil mask keeps every position. Rows are independent, so both
+// passes run in row bands across cores.
 func (t *Tape) softmaxRows(a *Node, mask *Matrix) *Node {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
-	for i := 0; i < v.Rows; i++ {
-		in := a.Value.Row(i)
+	rows := v.Rows
+	if size := bandRows(rows, len(v.Data)); size < rows {
+		parallelRows(rows, size, func(lo, hi int) { softmaxBand(v, a.Value, mask, lo, hi) })
+	} else {
+		softmaxBand(v, a.Value, mask, 0, rows)
+	}
+	n := t.node(v, a)
+	if n.requiresGrad {
+		n.back = func() {
+			ga := t.grad(a)
+			if size := bandRows(rows, len(v.Data)); size < rows {
+				parallelRows(rows, size, func(lo, hi int) { softmaxGradBand(ga, v, n.Grad, lo, hi) })
+			} else {
+				softmaxGradBand(ga, v, n.Grad, 0, rows)
+			}
+		}
+	}
+	return n
+}
+
+// softmaxBand writes rows [lo, hi) of the masked row softmax of x into v.
+func softmaxBand(v, x, mask *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		in := x.Row(i)
 		out := v.Row(i)
 		var mrow []float64
 		if mask != nil {
@@ -462,25 +485,21 @@ func (t *Tape) softmaxRows(a *Node, mask *Matrix) *Node {
 			out[j] /= sum
 		}
 	}
-	n := t.node(v, a)
-	if n.requiresGrad {
-		n.back = func() {
-			ga := t.grad(a)
-			for i := 0; i < v.Rows; i++ {
-				y := n.Value.Row(i)
-				gy := n.Grad.Row(i)
-				gx := ga.Row(i)
-				var dot float64
-				for j := range y {
-					dot += y[j] * gy[j]
-				}
-				for j := range y {
-					gx[j] += y[j] * (gy[j] - dot)
-				}
-			}
+}
+
+// softmaxGradBand adds rows [lo, hi) of the softmax gradient into gx, given
+// the softmax output y and its gradient gy.
+func softmaxGradBand(gx, y, gy *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		yr, gyr, gxr := y.Row(i), gy.Row(i), gx.Row(i)
+		var dot float64
+		for j := range yr {
+			dot += yr[j] * gyr[j]
+		}
+		for j := range yr {
+			gxr[j] += yr[j] * (gyr[j] - dot)
 		}
 	}
-	return n
 }
 
 // ConcatCols records [a | b].
