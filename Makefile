@@ -41,17 +41,17 @@ race:
 	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/... ./internal/nn/... ./internal/gnn/...
 
 # bench regenerates the evaluation fast-path numbers recorded in
-# BENCH_eval.json. The mutation-episode pair runs separately at a fixed
-# iteration count: each op takes ~1s, so a 2s benchtime stops at b.N=2 and
-# charges the one-off delta-state build to half the samples; 20 iterations
-# measure the steady state the exhibit records.
+# BENCH_eval.json. The mutation-walk pair runs separately at a fixed
+# iteration count: one op is one proposal of the walk
+# TestIncrementalSpeedupGate gates, and 100 of them (the gate's count)
+# amortize the one-off delta-state build the way the gate does.
 bench:
 	$(GO) test -run '^$$' -bench 'EvaluateCold|EvaluateCached|EvaluateBounded|RunEpisodesSequential|RunEpisodesParallel|RunEpisodes64$$|RunEpisodes64Pruned|SimReuse|SimPooledRun' -benchtime 2s -benchmem .
-	$(GO) test -run '^$$' -bench 'RunEpisodes64Incremental|RunEpisodes64MutationFull' -benchtime 20x -benchmem .
+	$(GO) test -run '^$$' -bench 'RunEpisodes64Incremental|RunEpisodes64MutationFull' -benchtime 100x -benchmem .
 
 # bench-smoke runs the CI speedup gates in bench_gate_test.go:
 # TestIncrementalSpeedupGate (delta vs full evaluation on the same seeded
-# mutation episodes, >= 2x) and TestFleetSpeedupGate (four leased jobs on one
+# mutation walk, >= 2x) and TestFleetSpeedupGate (four leased jobs on one
 # Testbed64 vs the same jobs one at a time on the whole fleet, >= 1.5x).
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run 'SpeedupGate$$' -count=1 -v .

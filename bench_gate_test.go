@@ -18,67 +18,95 @@ import (
 	"heterog/internal/strategy"
 )
 
-// TestIncrementalSpeedupGate: the same seeded sequence of ≤2-edit mutation
-// episodes runs once through EvaluateDelta and once through EvaluateBounded,
-// and the wall-clock episode-throughput ratio must clear a hard 2x floor.
-// The recorded exhibit (BENCH_eval.json, incremental_64dev) runs well above
-// the floor; the margin absorbs machine noise without letting a real
-// regression — a broken memo, a fallback-to-full patch path — slip through.
+// mutationWalk is the incremental-evaluation workload shared by
+// TestIncrementalSpeedupGate and the RunEpisodes64Incremental/MutationFull
+// benchmarks: VGG-19 (batch 256) on Testbed64 with pruning armed and the
+// evaluation cache off, starting from a data-parallel incumbent. Each step
+// edits one or two group decisions of the incumbent (seeded), evaluates the
+// proposal through EvaluateDelta (delta set) or EvaluateBounded against the
+// incumbent's score, and keeps a strict improvement as the new incumbent and
+// bound. Both variants walk the same proposals, so their throughput ratio is
+// the incremental-evaluation speedup on identical work.
+type mutationWalk struct {
+	ev    *core.Evaluator
+	delta bool
+	cur   *strategy.Strategy
+	bound float64
+	rng   *rand.Rand
+}
+
+func newMutationWalk(tb testing.TB, delta bool) *mutationWalk {
+	tb.Helper()
+	g, err := models.VGG19(256)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(g, cluster.Testbed64().FullView(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ev.Cache = nil // measure the pipelines, not memoized repeats
+	ev.EnablePruning(nil)
+	if delta {
+		ev.EnableDelta(nil)
+	}
+	gr, err := strategy.Group(g, ev.Cost, 500)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cur := strategy.Uniform(gr, strategy.Decision{Kind: strategy.DPEvenAR})
+	inc, err := ev.Evaluate(cur)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &mutationWalk{ev: ev, delta: delta, cur: cur, bound: inc.Score(), rng: rand.New(rand.NewSource(7))}
+}
+
+// step proposes and evaluates one edit of the incumbent.
+func (w *mutationWalk) step(tb testing.TB) {
+	tb.Helper()
+	m := w.ev.Cluster.NumDevices()
+	ds := append([]strategy.Decision(nil), w.cur.Decisions...)
+	for j := 0; j < 1+w.rng.Intn(2); j++ {
+		d, err := strategy.DecisionFromAction(w.rng.Intn(strategy.ActionSpaceSize(m)), m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ds[w.rng.Intn(len(ds))] = d
+	}
+	next := &strategy.Strategy{Grouping: w.cur.Grouping, Decisions: ds}
+	var e *core.Evaluation
+	var err error
+	if w.delta {
+		e, err = w.ev.EvaluateDelta(next, w.bound)
+	} else {
+		e, err = w.ev.EvaluateBounded(next, w.bound)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !e.Pruned && e.Score() < w.bound {
+		w.bound = e.Score()
+		w.cur = next
+	}
+}
+
+// TestIncrementalSpeedupGate: the same seeded mutation walk (mutationWalk)
+// runs once through EvaluateDelta and once through EvaluateBounded, and the
+// wall-clock episode-throughput ratio must clear a hard 2x floor. The
+// recorded exhibit (BENCH_eval.json, incremental_64dev) runs well above the
+// floor; the margin absorbs machine noise without letting a real regression
+// — a broken memo, a fallback-to-full patch path — slip through.
 func TestIncrementalSpeedupGate(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("perf gate; set BENCH_SMOKE=1 (make bench-smoke) to run")
 	}
 	const episodes = 100
 	run := func(delta bool) (epsPerSec float64) {
-		g, err := models.VGG19(256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := core.NewEvaluator(g, cluster.Testbed64().FullView(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.Cache = nil // the gate measures the pipelines, not memoized repeats
-		ev.EnablePruning(nil)
-		if delta {
-			ev.EnableDelta(nil)
-		}
-		gr, err := strategy.Group(g, ev.Cost, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := strategy.Uniform(gr, strategy.Decision{Kind: strategy.DPEvenAR})
-		inc, err := ev.Evaluate(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := inc.Score()
-		rng := rand.New(rand.NewSource(7))
-		m := ev.Cluster.NumDevices()
+		w := newMutationWalk(t, delta)
 		start := time.Now()
 		for i := 0; i < episodes; i++ {
-			ds := append([]strategy.Decision(nil), cur.Decisions...)
-			for j := 0; j < 1+rng.Intn(2); j++ {
-				d, err := strategy.DecisionFromAction(rng.Intn(strategy.ActionSpaceSize(m)), m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ds[rng.Intn(len(ds))] = d
-			}
-			next := &strategy.Strategy{Grouping: gr, Decisions: ds}
-			var e *core.Evaluation
-			if delta {
-				e, err = ev.EvaluateDelta(next, bound)
-			} else {
-				e, err = ev.EvaluateBounded(next, bound)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !e.Pruned && e.Score() < bound {
-				bound = e.Score()
-				cur = next
-			}
+			w.step(t)
 		}
 		return float64(episodes) / time.Since(start).Seconds()
 	}

@@ -469,17 +469,14 @@ func BenchmarkRunEpisodes64(b *testing.B) {
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "episodes/s")
 }
 
-// BenchmarkRunEpisodes64Pruned is the same episode loop with the full
-// cold-path attack armed: analytic bound screening and early-abort
-// simulation against a data-parallel incumbent, plus successive-halving
-// batches (1-iteration fast pass, top half promoted).
+// BenchmarkRunEpisodes64Pruned is the same episode loop with bound-based
+// pruning armed: analytic bound screening and early-abort simulation against
+// a data-parallel incumbent.
 func BenchmarkRunEpisodes64Pruned(b *testing.B) {
 	ev := benchEvaluator64(b)
 	ev.Cache = nil // isolate pruning wins from memoization wins
 	ev.EnablePruning(nil)
-	acfg := agent.DefaultConfig(64)
-	acfg.Halving = true
-	a, err := agent.New(acfg, 64)
+	a, err := agent.New(agent.DefaultConfig(64), 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -500,74 +497,38 @@ func BenchmarkRunEpisodes64Pruned(b *testing.B) {
 	rep := ev.PipelineReport()
 	b.ReportMetric(float64(rep.Pruning.PrunedPreLower), "pruned-pre")
 	b.ReportMetric(float64(rep.Pruning.SimsAborted), "sims-aborted")
-	b.ReportMetric(float64(rep.Pruning.CandidatesHalved), "halved")
 }
 
-// benchMutationEpisodes is the shared body for the incremental-vs-full
-// mutation exhibit: an agent in mutation mode proposes ≤2-group edits against
-// a data-parallel incumbent on the 64-device testbed, with pruning armed and
-// the evaluation cache off. With delta true the evaluator routes through
-// EvaluateDelta (patch compilation and the zero-diff memo);
-// with delta false every surviving proposal pays the full compile + simulate
-// price. Same proposal distribution either way — the eps/s ratio is the
-// incremental-evaluation speedup on identical work.
-func benchMutationEpisodes(b *testing.B, delta bool, batch int) {
-	ev := benchEvaluator64(b)
-	ev.Cache = nil // isolate delta wins from memoization wins
-	ev.EnablePruning(nil)
-	if delta {
-		ev.EnableDelta(nil)
-	}
-	acfg := agent.DefaultConfig(64)
-	acfg.Mutate = true
-	a, err := agent.New(acfg, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inc, err := ev.Evaluate(benchStrategy(b, ev))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := a.SeedIncumbent(ev, inc); err != nil {
-		b.Fatal(err)
-	}
-	bound := inc.Score()
+// benchMutationWalk times one mutationWalk step per op, the walk that
+// TestIncrementalSpeedupGate gates.
+func benchMutationWalk(b *testing.B, delta bool) {
+	w := newMutationWalk(b, delta)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eps, err := a.RunEpisodesBounded(ev, batch, false, bound)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Ratchet the bound like a real mutation search: the incumbent's
-		// score is the pruning bound for the next batch.
-		for _, ep := range eps {
-			if !ep.Eval.Pruned && ep.Eval.Score() < bound {
-				bound = ep.Eval.Score()
-			}
-		}
+		w.step(b)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "episodes/s")
-	rep := ev.PipelineReport()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "episodes/s")
+	rep := w.ev.PipelineReport()
 	b.ReportMetric(float64(rep.Pruning.DeltaCompiles), "delta-compiles")
 	b.ReportMetric(float64(rep.Pruning.OpsRelowered), "ops-relowered")
 	b.ReportMetric(float64(rep.Reused), "reused")
 }
 
 // BenchmarkRunEpisodes64Incremental is the incremental_64dev exhibit: the
-// mutation episode loop through the delta path. Compare
-// BenchmarkRunEpisodes64MutationFull for the same loop paying full price;
-// TestIncrementalSpeedupGate (make bench-smoke) hard-fails CI when the
-// ratio drops below 2x.
+// mutation walk through the delta path (patch compilation and the zero-diff
+// memo). Compare BenchmarkRunEpisodes64MutationFull for the same walk paying
+// full price; TestIncrementalSpeedupGate (make bench-smoke) hard-fails CI
+// when the ratio drops below 2x.
 func BenchmarkRunEpisodes64Incremental(b *testing.B) {
-	benchMutationEpisodes(b, true, 64)
+	benchMutationWalk(b, true)
 }
 
 // BenchmarkRunEpisodes64MutationFull is the denominator of the
-// incremental_64dev ratio: identical mutation episodes, full pipeline.
+// incremental_64dev ratio: the identical walk through the full pipeline.
 func BenchmarkRunEpisodes64MutationFull(b *testing.B) {
-	benchMutationEpisodes(b, false, 8)
+	benchMutationWalk(b, false)
 }
 
 // BenchmarkSimReuse measures a reused Simulator on a precompiled graph —

@@ -92,10 +92,9 @@ func main() {
 		acfg.BatchEpisodes = spec.BatchEpisodes
 	}
 	if !spec.Exact {
-		// Cold-path pruning + successive halving, winner-preserving; after
-		// EnableRobustness so scenario twins inherit the bound screens.
+		// Cold-path pruning, winner-preserving; after EnableRobustness so
+		// scenario twins inherit the bound screens.
 		ev.EnablePruning(nil)
-		acfg.Halving = true
 	}
 	ag, err := agent.New(acfg, c.NumDevices())
 	if err != nil {
@@ -141,8 +140,8 @@ func main() {
 	}
 	if *verbose && !spec.Exact {
 		pr := ev.PipelineReport().Pruning
-		fmt.Printf("pruning: %d bounds tried / %d pre-lowering / %d post-lowering / %d sims aborted / %d halved (saved ~%s)\n",
-			pr.BoundsTried, pr.PrunedPreLower, pr.PrunedPostLower, pr.SimsAborted, pr.CandidatesHalved, pr.TimeSaved.Round(time.Millisecond))
+		fmt.Printf("pruning: %d bounds tried / %d pre-lowering / %d post-lowering / %d sims aborted (saved ~%s)\n",
+			pr.BoundsTried, pr.PrunedPreLower, pr.PrunedPostLower, pr.SimsAborted, pr.TimeSaved.Round(time.Millisecond))
 	}
 	for _, kind := range []strategy.DecisionKind{strategy.DPEvenPS, strategy.DPEvenAR, strategy.DPPropPS, strategy.DPPropAR} {
 		e, err := baselines.EvaluateDP(ev, kind)

@@ -87,19 +87,19 @@ type settings struct {
 	// (0 = package defaults).
 	caches              *CacheSet
 	evalCap, loweredCap int
-	// pruning/halving gate the cold-path accelerations (both default on;
-	// WithPruning(false)/WithHalving(false) restore exhaustive evaluation).
-	pruning, halving bool
+	// pruning gates bound-based candidate pruning (default on;
+	// WithPruning(false) restores exhaustive evaluation).
+	pruning bool
 	// drift, when non-nil, overrides the telemetry watcher thresholds built
 	// by Runner.Watcher (nil = telemetry package defaults).
 	drift *telemetry.Thresholds
 	// warmStrategy, when non-empty, is a serialized strategy (strategy-JSON
-	// wire format) evaluated before search and seeded as the incumbent.
+	// wire format) evaluated before search and kept if search cannot beat it.
 	warmStrategy []byte
 }
 
 func defaultSettings() settings {
-	return settings{episodes: 6, seed: 1, faultSeed: 1, pruning: true, halving: true}
+	return settings{episodes: 6, seed: 1, faultSeed: 1, pruning: true}
 }
 
 // Option configures GetRunner.
@@ -190,23 +190,14 @@ func WithPruning(on bool) Option {
 	return func(s *settings) { s.pruning = on }
 }
 
-// WithHalving toggles successive-halving episode batches (default on): each
-// rollout batch is first ranked by a cheap 1-iteration fast pass and only
-// the top half is promoted to the full steady-state evaluation. The winner
-// still always gets a full evaluation; pass false to fully evaluate every
-// sampled candidate (exact per-episode numbers at higher cost). Ignored when
-// WithAgent supplies a caller-configured agent.
-func WithHalving(on bool) Option {
-	return func(s *settings) { s.halving = on }
-}
-
 // WithWarmStrategy warm-starts strategy search from a previously exported
 // plan: raw is a serialized strategy in the strategy-JSON wire format (what
 // Strategy.Save writes and the planning service's reports carry). Before any
-// episodes run, the strategy is decoded against the model graph, evaluated
-// through the runner's caches — priming the evaluation and lowered-artifact
-// caches — and installed as the search incumbent, so bound-based pruning
-// races every candidate against a plausible plan from the first episode and
+// episodes run, the strategy is decoded against the model graph and
+// evaluated through the runner's caches, priming the evaluation and
+// lowered-artifact caches. Search itself still starts from the heuristic
+// candidate pool with no bound, so the seed does not steer pruning or
+// learning; it is a full candidate that wins when search cannot beat it, so
 // the returned plan is never worse than the seed. A seed that fails to
 // decode, evaluate, or fit memory is ignored (warm starting is best-effort);
 // a seed for a different workload typically fails the op-count check and is
@@ -342,7 +333,6 @@ func plan(g *graph.Graph, devices *cluster.View, cfg settings) (*Runner, error) 
 	if ag == nil {
 		acfg := agent.DefaultConfig(devices.NumDevices())
 		acfg.Seed = cfg.seed
-		acfg.Halving = cfg.halving
 		if cfg.batchEpisodes > 0 {
 			acfg.BatchEpisodes = cfg.batchEpisodes
 		}
@@ -352,14 +342,13 @@ func plan(g *graph.Graph, devices *cluster.View, cfg settings) (*Runner, error) 
 		}
 	}
 	// Warm start: evaluate the imported strategy through the (possibly
-	// shared) caches and seed it as the search incumbent. Best-effort — any
-	// failure falls back to a cold search.
+	// shared) caches, priming them for search. Best-effort — any failure
+	// falls back to a cold search.
 	var warmEval *core.Evaluation
 	if len(cfg.warmStrategy) > 0 {
 		if st, err := strategy.Load(bytes.NewReader(cfg.warmStrategy), len(g.Ops)); err == nil {
 			if e, err := ev.Evaluate(st); err == nil && !e.Result.OOM() {
 				warmEval = e
-				_ = ag.SeedIncumbent(ev, e)
 			}
 		}
 	}

@@ -38,7 +38,6 @@ func planOnce(t *testing.T, key string, batch int, pruned bool) *core.Evaluation
 	cfg := DefaultConfig(4)
 	if pruned {
 		ev.EnablePruning(nil)
-		cfg.Halving = true
 	}
 	a, err := New(cfg, 4)
 	if err != nil {
@@ -52,12 +51,11 @@ func planOnce(t *testing.T, key string, batch int, pruned bool) *core.Evaluation
 }
 
 // TestPrunedPlannerWinnerEquivalent is the equivalence guarantee behind the
-// WithPruning/WithHalving defaults: across the standard model zoo, the
-// planner with the full cold-path attack armed (bound screening, early-abort
-// simulation, successive halving) selects a winner with exactly the same
-// score as the exhaustive planner, and the exhaustive winner matches the
-// checked-in golden so the guarantee cannot silently decay into "both
-// planners drifted together".
+// WithPruning default: across the standard model zoo, the planner with
+// bound screening and early-abort simulation armed selects a winner with
+// exactly the same score as the exhaustive planner, and the exhaustive
+// winner matches the checked-in golden so the guarantee cannot silently
+// decay into "both planners drifted together".
 func TestPrunedPlannerWinnerEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans the full model zoo twice")

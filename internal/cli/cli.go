@@ -106,9 +106,8 @@ type Spec struct {
 	FaultSeed int64   `json:"fault_seed,omitempty"`
 	Robust    bool    `json:"robust,omitempty"`
 	Blend     float64 `json:"blend,omitempty"`
-	// Exact disables bound-based pruning and successive halving, restoring
-	// the exhaustive cold path (exact timings for every candidate, not just
-	// the winner).
+	// Exact disables bound-based pruning, restoring the exhaustive cold path
+	// (exact timings for every candidate, not just the winner).
 	Exact bool `json:"exact,omitempty"`
 	// Telemetry overrides the drift-detection thresholds (EWMA alpha,
 	// trigger/clear hysteresis bands, overlay quantum) the planning service
@@ -133,7 +132,7 @@ func (s *Spec) RegisterSearchFlags(fs *flag.FlagSet, defEpisodes int) {
 	fs.Int64Var(&s.Seed, "seed", 1, "profiling and agent seed")
 	fs.IntVar(&s.Episodes, "episodes", defEpisodes, "RL episodes for strategy search")
 	fs.IntVar(&s.BatchEpisodes, "batch-episodes", 0, "rollout batch size per policy update (0 = default)")
-	fs.BoolVar(&s.Exact, "exact", false, "disable bound-based pruning and successive halving (exhaustive cold path)")
+	fs.BoolVar(&s.Exact, "exact", false, "disable bound-based pruning (exhaustive cold path)")
 }
 
 // RegisterFaultFlags binds -faults, -fault-seed, -robust and -blend.

@@ -25,37 +25,17 @@ type PruneConfig struct {
 	// estimate excludes; values below 1 risk aborting candidates that would
 	// have beaten the incumbent. <= 0 selects DefaultSimSlack.
 	SimSlack float64
-	// FastSlack additionally loosens the bound used for 1-iteration fast
-	// passes (successive halving), whose single-iteration makespan includes
-	// a full fill+drain and so overshoots the steady-state period even for
-	// good candidates. <= 0 selects DefaultFastSlack.
-	FastSlack float64
 }
 
-const (
-	// DefaultSimSlack bounds a candidate's full simulated makespan at
-	// 1.5 × iterations × the incumbent's per-iteration time.
-	DefaultSimSlack = 1.5
-	// DefaultFastSlack lets a 1-iteration fast pass run to 3 × the
-	// incumbent's per-iteration time before aborting.
-	DefaultFastSlack = 3.0
-)
+// DefaultSimSlack bounds a candidate's full simulated makespan at
+// 1.5 × iterations × the incumbent's per-iteration time.
+const DefaultSimSlack = 1.5
 
 func (c *PruneConfig) simSlack() float64 {
 	if c == nil || c.SimSlack <= 0 {
 		return DefaultSimSlack
 	}
 	return c.SimSlack
-}
-
-// FastSlackOr returns the configured fast-pass slack, defaulted. Exported
-// for the agent's successive-halving pass, which converts incumbent scores
-// into fast-pass bounds itself.
-func (c *PruneConfig) FastSlackOr() float64 {
-	if c == nil || c.FastSlack <= 0 {
-		return DefaultFastSlack
-	}
-	return c.FastSlack
 }
 
 // EnablePruning turns on bound-based candidate pruning for subsequent
@@ -169,34 +149,12 @@ func (ev *Evaluator) PreLowerBound(s *strategy.Strategy) float64 {
 	return ev.preLowerBound(s)
 }
 
-// NoteHalved records candidates demoted by the agent's successive-halving
-// pass in this evaluator family's pruning counters.
-func (ev *Evaluator) NoteHalved(n int) { ev.pipe.halved(n) }
-
 // prunedEval builds the certified-loser placeholder evaluation: no DistGraph
 // and no sim Result were produced. PerIter carries the bound the candidate
 // provably cannot beat, so Reward still yields a usable (optimistic) learning
 // signal; Score and Time are +Inf so comparisons can never pick it.
 func (ev *Evaluator) prunedEval(s *strategy.Strategy, timeBound, at float64) *Evaluation {
 	return &Evaluation{Strategy: s, Pruned: true, PerIter: timeBound, PrunedAt: at}
-}
-
-// EvaluateFast scores s on a throwaway 1-iteration twin of ev — the
-// successive-halving fast pass. Robustness is dropped (the fast pass only
-// ranks candidates within a batch, and its score space is the nominal
-// 1-iteration makespan), the shared caches still apply (the iteration count
-// is part of every key), and the bound — given in the parent evaluator's
-// score space — is converted to nominal time and loosened by FastSlack,
-// since a single iteration's makespan is all pipeline fill and drain.
-func (ev *Evaluator) EvaluateFast(s *strategy.Strategy, bound float64) (*Evaluation, error) {
-	fe := *ev
-	fe.Iterations = 1
-	fe.Robust = nil
-	tb := math.Inf(1)
-	if fe.Prune != nil && validBound(bound) {
-		tb = scoreToTime(bound, ev.Robust != nil)
-	}
-	return fe.evaluateBounded(s, tb, true)
 }
 
 // EstimateLeaseTime is the fleet allocator's cheap per-iteration time

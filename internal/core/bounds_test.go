@@ -143,28 +143,3 @@ func TestPrunedNeverCached(t *testing.T) {
 		t.Fatalf("pruning counters not recorded: %+v", rep.Pruning)
 	}
 }
-
-// TestEvaluateFastOneIteration: the halving fast pass runs a single chained
-// iteration and must not collide with 3-iteration cache entries.
-func TestEvaluateFastOneIteration(t *testing.T) {
-	ev := evaluatorFor(t, "vgg19", 64, 4)
-	ev.EnablePruning(nil)
-	s := uniform(t, ev, strategy.DPEvenAR)
-	fast, err := ev.EvaluateFast(s, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Pruned {
-		t.Fatal("unbounded fast eval must not prune")
-	}
-	if fast.Dist.Iterations != 1 {
-		t.Fatalf("fast pass iterations %d, want 1", fast.Dist.Iterations)
-	}
-	full, err := ev.Evaluate(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Dist.Iterations != 3 {
-		t.Fatalf("full eval iterations %d, want 3 (fast-pass cache entry collided)", full.Dist.Iterations)
-	}
-}

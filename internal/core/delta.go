@@ -101,7 +101,7 @@ func (ev *Evaluator) deltaState(target *Evaluator, s *strategy.Strategy, iters i
 // hits the full pipeline and caches normally.
 //
 // EvaluateDelta is NOT safe for concurrent use (the baseline mutates in
-// place); the mutation episode loop is sequential by design. Without
+// place); callers evaluate their mutation proposals one at a time. Without
 // EnableDelta it degrades to EvaluateBounded.
 func (ev *Evaluator) EvaluateDelta(s *strategy.Strategy, bound float64) (*Evaluation, error) {
 	if ev.Delta == nil {

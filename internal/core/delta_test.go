@@ -99,6 +99,55 @@ func TestEvaluateDeltaGoldenAcrossZoo(t *testing.T) {
 	}
 }
 
+// TestEvaluateDeltaIncumbentWalk pins the delta path under a search-style
+// walk: proposals of at most two edits against an incumbent that moves only
+// on a strict improvement, so rejected proposals leave the retained baseline
+// on a strategy the next proposal does not extend. Every result must equal a
+// fresh full evaluation bit for bit, the patch counters must advance, and an
+// immediate repeat of a proposal must be answered by the zero-diff memo with
+// the same numbers.
+func TestEvaluateDeltaIncumbentWalk(t *testing.T) {
+	evD := evaluatorFor(t, "vgg19", 64, 4)
+	evD.EnableDelta(nil)
+	evF := evaluatorFor(t, "vgg19", 64, 4)
+	m := evD.Cluster.NumDevices()
+	rng := rand.New(rand.NewSource(3))
+	inc := uniform(t, evD, strategy.DPEvenPS)
+	first, err := evD.EvaluateDelta(inc, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := first.Score()
+	for step := 0; step < 12; step++ {
+		next := mutateStrategy(inc, m, 1+rng.Intn(2), rng)
+		got, err := evD.EvaluateDelta(next, math.Inf(1))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := evF.Evaluate(next)
+		if err != nil {
+			t.Fatalf("step %d full: %v", step, err)
+		}
+		sameDeltaEval(t, "walk", got, want)
+		reused := evD.PipelineReport().Reused
+		again, err := evD.EvaluateDelta(next, math.Inf(1))
+		if err != nil {
+			t.Fatalf("step %d repeat: %v", step, err)
+		}
+		if evD.PipelineReport().Reused != reused+1 {
+			t.Fatalf("step %d: repeated proposal missed the zero-diff memo", step)
+		}
+		sameDeltaEval(t, "memo", again, want)
+		if got.Score() < best {
+			best, inc = got.Score(), next
+		}
+	}
+	rep := evD.PipelineReport().Pruning
+	if rep.DeltaCompiles == 0 || rep.OpsRelowered == 0 {
+		t.Fatalf("walk never exercised the patch path: %+v", rep)
+	}
+}
+
 // TestEvaluateDeltaGoldenRobustTwins extends the golden pin to robustness
 // mode: the sequential per-scenario delta baselines must reproduce the
 // parallel full-path scenario evaluations exactly.

@@ -196,13 +196,13 @@ func (ev *Evaluator) Evaluate(s *strategy.Strategy) (*Evaluation, error) {
 // candidate pruned under any scenario is pruned as a whole.
 func (ev *Evaluator) EvaluateBounded(s *strategy.Strategy, bound float64) (*Evaluation, error) {
 	if ev.Robust == nil {
-		return ev.evaluateBounded(s, bound, false)
+		return ev.evaluateBounded(s, bound)
 	}
 	tb := math.Inf(1)
 	if ev.Prune != nil && validBound(bound) {
 		tb = scoreToTime(bound, true)
 	}
-	e, err := ev.evaluateBounded(s, tb, false)
+	e, err := ev.evaluateBounded(s, tb)
 	if err != nil || e.Pruned {
 		if e != nil && e.Pruned {
 			e.PrunedAt = bound
@@ -225,9 +225,8 @@ func (ev *Evaluator) EvaluateBounded(s *strategy.Strategy, bound float64) (*Eval
 }
 
 // evaluateBounded runs the compile → order → simulate pipeline against a
-// per-iteration time bound (+Inf disables pruning). fast marks a
-// 1-iteration fast pass, which gets the looser FastSlack abort bound.
-func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64, fast bool) (*Evaluation, error) {
+// per-iteration time bound (+Inf disables pruning).
+func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64) (*Evaluation, error) {
 	iters := ev.Iterations
 	if iters <= 0 {
 		iters = 3
@@ -259,15 +258,10 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64, fa
 	}
 	// The simulator abort bound caps the full chained makespan: per-iteration
 	// bound × iterations, with slack for the pipeline fill/drain share that
-	// the steady-state estimate excludes (fast passes get extra slack, their
-	// single iteration being all fill and drain).
+	// the steady-state estimate excludes.
 	simBound := math.Inf(1)
 	if prune {
-		slack := ev.Prune.simSlack()
-		if fast {
-			slack *= ev.Prune.FastSlackOr()
-		}
-		simBound = timeBound * float64(iters) * slack
+		simBound = timeBound * float64(iters) * ev.Prune.simSlack()
 		if db := DistLowerBound(art.Dist); db > timeBound || art.Dist.CriticalPath() > simBound {
 			ev.pipe.prunedPost(time.Since(began))
 			return ev.prunedEval(s, timeBound, timeBound), nil

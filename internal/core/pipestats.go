@@ -49,8 +49,8 @@ type PruneReport struct {
 	PrunedPostLower int64 `json:"pruned_post_lower"`
 	// SimsAborted counts simulations stopped mid-run by the makespan bound.
 	SimsAborted int64 `json:"sims_aborted"`
-	// CandidatesHalved counts episode candidates demoted by the agent's
-	// successive-halving fast pass (never fully evaluated).
+	// CandidatesHalved is always zero. It is kept only so the benchmark's
+	// per-layer reader (bench/layers.go) still compiles.
 	CandidatesHalved int64 `json:"candidates_halved"`
 	// DeltaCompiles counts evaluations served by the incremental patch path:
 	// the mutated strategy was lowered by rewiring the retained baseline
@@ -73,7 +73,6 @@ func (p *PruneReport) Add(o PruneReport) {
 	p.PrunedPreLower += o.PrunedPreLower
 	p.PrunedPostLower += o.PrunedPostLower
 	p.SimsAborted += o.SimsAborted
-	p.CandidatesHalved += o.CandidatesHalved
 	p.DeltaCompiles += o.DeltaCompiles
 	p.OpsRelowered += o.OpsRelowered
 	p.TimeSaved += o.TimeSaved
@@ -182,15 +181,6 @@ func (p *pipeStats) simAborted(spent time.Duration) {
 	p.mu.Lock()
 	p.prune.SimsAborted++
 	p.saved(spent)
-	p.mu.Unlock()
-}
-
-func (p *pipeStats) halved(n int) {
-	if p == nil || n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.prune.CandidatesHalved += int64(n)
 	p.mu.Unlock()
 }
 

@@ -155,7 +155,7 @@ func (r *Robustness) reportBounded(useFIFO bool, s *strategy.Strategy, nominal *
 				b := scoreBound / r.Blend
 				tb = b * b
 			}
-			e, err := sev.evaluateBounded(s, tb, false)
+			e, err := sev.evaluateBounded(s, tb)
 			if err != nil {
 				errs[k] = err
 				return

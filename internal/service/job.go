@@ -187,8 +187,9 @@ type ServerStats struct {
 	Accepted uint64 `json:"accepted"`
 	Rejected uint64 `json:"rejected"`
 
-	// Pruning aggregates the cold-path pruning counters (bounds tried, sims
-	// aborted, candidates halved, time saved) across every completed job.
+	// Pruning aggregates the cold-path pruning counters (bounds tried,
+	// candidates pruned before and after lowering, sims aborted, time saved)
+	// across every completed job.
 	Pruning core.PruneReport `json:"pruning"`
 
 	// Telemetry aggregates the online replanning loop: observations folded,

@@ -414,33 +414,45 @@ func (s *Server) evictJobsLocked() {
 // Replan admits a job that replans a finished job onto a changed cluster,
 // reusing the source runner's warm agent when device counts match.
 func (s *Server) Replan(sourceID string, req ReplanRequest) (*JobStatus, error) {
+	// run() finishes the source under s.mu, so its state, runner and
+	// cluster are read under the lock too.
 	s.mu.Lock()
 	src := s.jobs[sourceID]
+	var (
+		spec   cli.Spec
+		view   *cluster.View
+		runner *heterog.Runner
+		err    error
+	)
+	switch {
+	case src == nil:
+		err = ErrNotFound
+	case src.state == JobDone && src.runner != nil:
+		spec, view, runner = src.spec, src.cluster, src.runner
+	case src.recovered && src.state == JobDone:
+		err = fmt.Errorf("%w: %s predates a server restart; its runner is gone, submit a fresh job instead", ErrNotDone, sourceID)
+	default:
+		err = fmt.Errorf("%w: replan needs a done source job, %s is %s", ErrNotDone, sourceID, src.state)
+	}
 	s.mu.Unlock()
-	if src == nil {
-		return nil, ErrNotFound
-	}
-	if src.state != JobDone || src.runner == nil {
-		if src.recovered && src.state == JobDone {
-			return nil, fmt.Errorf("%w: %s predates a server restart; its runner is gone, submit a fresh job instead", ErrNotDone, sourceID)
-		}
-		return nil, fmt.Errorf("%w: replan needs a done source job, %s is %s", ErrNotDone, sourceID, src.state)
-	}
-	nc, err := replanCluster(src, req)
 	if err != nil {
 		return nil, err
 	}
-	spec := src.spec
+	nc, err := replanCluster(view, req)
+	if err != nil {
+		return nil, err
+	}
 	spec.Cluster = nil
 	spec.GPUs = 0
-	j := &job{spec: spec, replanOf: sourceID, graph: src.runner.Graph, cluster: nc,
-		warmKey: warmKey(&spec, src.runner.Graph, nc)}
+	j := &job{spec: spec, replanOf: sourceID, graph: runner.Graph, cluster: nc,
+		warmKey: warmKey(&spec, runner.Graph, nc)}
 	j.spec.Cluster = describeCluster(nc.Cluster)
 	return s.admit(j)
 }
 
-// replanCluster builds the degraded cluster view a replan request describes.
-func replanCluster(src *job, req ReplanRequest) (*cluster.View, error) {
+// replanCluster builds the changed cluster view a replan request describes
+// from the source job's view cur.
+func replanCluster(cur *cluster.View, req ReplanRequest) (*cluster.View, error) {
 	set := 0
 	if req.DropDevice != nil {
 		set++
@@ -456,7 +468,7 @@ func replanCluster(src *job, req ReplanRequest) (*cluster.View, error) {
 	}
 	switch {
 	case req.DropDevice != nil:
-		return src.cluster.WithoutDevice(*req.DropDevice)
+		return cur.WithoutDevice(*req.DropDevice)
 	case req.Cluster != nil:
 		nc, err := req.Cluster.Build()
 		if err != nil {
@@ -607,7 +619,7 @@ func planOptions(spec *cli.Spec) []heterog.Option {
 		}
 	}
 	if spec.Exact {
-		opts = append(opts, heterog.WithPruning(false), heterog.WithHalving(false))
+		opts = append(opts, heterog.WithPruning(false))
 	}
 	if spec.Telemetry != nil {
 		opts = append(opts, heterog.WithTelemetryThresholds(*spec.Telemetry))

@@ -454,6 +454,47 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestReplanWhileSourceFinishes calls Replan from a second goroutine while
+// the source job finishes; under -race it pins that Replan reads the
+// source's state and runner under the server lock, where run() writes them.
+func TestReplanWhileSourceFinishes(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	release := make(chan struct{})
+	srv.runHook = func(ctx context.Context, j *job) error {
+		<-release
+		return nil
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	st, err := srv.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitState(t, srv, st.ID, JobRunning)
+	stop := make(chan struct{})
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop) }) }
+	defer halt() // a failed wait must not leave the goroutine spinning
+	last := make(chan error, 1)
+	go func() {
+		for {
+			_, err := srv.Replan(st.ID, ReplanRequest{GPUs: 4})
+			select {
+			case <-stop:
+				last <- err
+				return
+			default:
+			}
+		}
+	}()
+	close(release)
+	waitState(t, srv, st.ID, JobDone)
+	halt()
+	// The hook leaves no runner, so even the done source cannot be replanned.
+	if err := <-last; !errors.Is(err, ErrNotDone) {
+		t.Fatalf("replan of a runner-less source: %v, want ErrNotDone", err)
+	}
+}
+
 // cacheTotals sums hit counters across every warm set.
 type cacheTotals struct {
 	evalHits, lowHits uint64
