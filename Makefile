@@ -33,12 +33,15 @@ test:
 # whose worker pool shares warm caches across jobs, the telemetry watcher and
 # event log hammered by concurrent pushes, the delta-compilation state in
 # internal/plan, the durable store written from handlers/workers/monitors at once, the front router
-# refreshing its backend view under concurrent submissions, and the nn kernels
-# and GAT encoder whose row bands run on several goroutines); running the
-# whole tree under -race multiplies the RL/experiment test time ~10x for no
-# extra coverage, so it is scoped deliberately.
+# refreshing its backend view under concurrent submissions, the nn kernels
+# and GAT encoder whose row bands run on several goroutines, and the
+# distributed graph (internal/compiler) and rank computation (internal/sched)
+# that concurrent evaluations of one cached artifact read through the
+# topological order Verify keeps); running the whole tree under -race
+# multiplies the RL/experiment test time ~10x for no extra coverage, so it is
+# scoped deliberately.
 race:
-	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/... ./internal/nn/... ./internal/gnn/...
+	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/compiler/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sched/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/... ./internal/nn/... ./internal/gnn/...
 
 # bench regenerates the evaluation fast-path numbers recorded in
 # BENCH_eval.json. The mutation-walk pair runs separately at a fixed

@@ -314,11 +314,12 @@ func benchStrategy(b *testing.B, ev *core.Evaluator) *strategy.Strategy {
 }
 
 // BenchmarkEvaluateCold measures the full compile → rank → simulate pipeline
-// with memoization disabled — the per-episode cost every strategy paid before
-// the evaluation cache.
+// with both the evaluation cache and the lowered-artifact cache disabled, so
+// every op lowers, verifies, orders and simulates the strategy from scratch:
+// the price of one candidate no cache has seen.
 func BenchmarkEvaluateCold(b *testing.B) {
 	ev := benchEvaluator(b)
-	ev.Cache = nil
+	ev.Cache, ev.Lowered = nil, nil
 	s := benchStrategy(b, ev)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -406,11 +407,12 @@ func benchEvaluator64(b *testing.B) *core.Evaluator {
 }
 
 // BenchmarkEvaluateCold64 measures one exact cold evaluation on the
-// 64-device testbed — the per-candidate price the planner paid for every
+// 64-device testbed, with both caches disabled so every op lowers the
+// strategy from scratch — the per-candidate price the planner paid for every
 // sampled strategy before bound-based pruning.
 func BenchmarkEvaluateCold64(b *testing.B) {
 	ev := benchEvaluator64(b)
-	ev.Cache = nil
+	ev.Cache, ev.Lowered = nil, nil
 	s := benchStrategy(b, ev)
 	b.ReportAllocs()
 	b.ResetTimer()

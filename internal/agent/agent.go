@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 
 	"heterog/internal/core"
@@ -484,7 +485,34 @@ func (a *Agent) Plan(ev *core.Evaluator, episodes int) (*core.Evaluation, error)
 // cancellation is observed), returning the context's error once it fires.
 // Long-lived callers (the planning service) use this for per-job timeouts
 // and client-initiated cancellation.
+//
+// The heuristic seeds are evaluated in ascending pre-lowering bound, the
+// order in which the incumbent tightens fastest, so more of the later seeds
+// are discarded before they are lowered. Each seed's bound is computed once
+// for the sort and handed to its evaluations. The evaluation order does not
+// choose the winner: bounds are sound screens, the results are compared in
+// generation order with a strict "<", and a seed's FIFO twin is tied to its
+// generation index, so only the work skipped depends on the order.
 func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes int) (*core.Evaluation, error) {
+	return a.plan(ctx, ev, episodes, boundOrder)
+}
+
+// boundOrder lists seed indexes by ascending pre-lowering bound. The sort is
+// stable, so ties keep generation order, and without pruning (every bound
+// reads 0) the order is the generation order.
+func boundOrder(pre []float64) []int {
+	idx := make([]int, len(pre))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(x, y int) bool { return pre[idx[x]] < pre[idx[y]] })
+	return idx
+}
+
+// plan is PlanContext with the seed evaluation order supplied by seedOrder,
+// which maps each seed's pre-lowering bound to the order the seeds are
+// evaluated in.
+func (a *Agent) plan(ctx context.Context, ev *core.Evaluator, episodes int, seedOrder func(pre []float64) []int) (*core.Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -513,8 +541,12 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 	fifoEv := *ev
 	fifoEv.UseFIFO = true
 	// Heuristic candidates are independent simulations: evaluate them
-	// concurrently across the available cores.
+	// concurrently across the available cores, in seedOrder.
 	cands := HeuristicCandidates(ev, st.grouping)
+	pre := make([]float64, len(cands))
+	for i, cand := range cands {
+		pre[i] = ev.PreLowerBound(cand)
+	}
 	evals := make([]*core.Evaluation, len(cands))
 	fifoEvals := make([]*core.Evaluation, len(cands))
 	errs := make([]error, len(cands))
@@ -522,13 +554,13 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 	// just running evaluations) stay bounded by the core count.
 	sem := make(chan struct{}, maxParallelEvals())
 	var wg sync.WaitGroup
-	for i, cand := range cands {
+	for _, i := range seedOrder(pre) {
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int, cand *strategy.Strategy) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			e, err := ev.EvaluateBounded(cand, inc.get())
+			e, err := ev.EvaluateScreened(cand, inc.get(), pre[i])
 			if err != nil {
 				errs[i] = err
 				return
@@ -540,14 +572,15 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 			// HeteroG's order scheduling increases overlap — and with it
 			// the transient memory peak. A candidate can be feasible under
 			// the default FIFO order even when the ranked order overflows,
-			// so the uniform-DP candidates (and any ranked-OOM candidate)
-			// are also tried under FIFO; the order choice ships in
-			// heterog_config. A pruned ranked evaluation reveals neither
-			// feasibility nor time, so it conservatively keeps the FIFO
-			// twin in play (the work-based bounds are order-independent
-			// and usually discharge it immediately).
+			// so the uniform-DP candidates (the first four generated, i <
+			// 4, wherever they fall in the evaluation order) and any
+			// ranked-OOM candidate are also tried under FIFO; the order
+			// choice ships in heterog_config. A pruned ranked evaluation
+			// reveals neither feasibility nor time, so it conservatively
+			// keeps the FIFO twin in play (the work-based bounds are
+			// order-independent and usually discharge it immediately).
 			if i < 4 || e.Pruned || e.Result.OOM() {
-				ef, err := fifoEv.EvaluateBounded(cand, inc.get())
+				ef, err := fifoEv.EvaluateScreened(cand, inc.get(), pre[i])
 				if err != nil {
 					errs[i] = err
 					return
@@ -557,7 +590,7 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 					inc.offer(ef.Score())
 				}
 			}
-		}(i, cand)
+		}(i, cands[i])
 	}
 	wg.Wait()
 	for i := range cands {

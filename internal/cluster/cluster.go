@@ -83,7 +83,21 @@ type Cluster struct {
 	// Links holds one entry per ordered device pair (src != dst).
 	Links []Link
 
-	linkIdx map[[2]int]int
+	// linkIdx[src*len(Devices)+dst] is the index in Links of the link
+	// src->dst, -1 where there is none.
+	linkIdx []int32
+}
+
+// indexLinks rebuilds linkIdx from Links, once Devices and Links are final.
+func (c *Cluster) indexLinks() {
+	n := len(c.Devices)
+	c.linkIdx = make([]int32, n*n)
+	for i := range c.linkIdx {
+		c.linkIdx[i] = -1
+	}
+	for _, l := range c.Links {
+		c.linkIdx[l.Src*n+l.Dst] = int32(l.Index)
+	}
 }
 
 // Config describes one server class when constructing a cluster.
@@ -107,7 +121,7 @@ const (
 // New builds a cluster from server configurations. Device IDs are assigned
 // in server order.
 func New(name string, servers ...Config) *Cluster {
-	c := &Cluster{Name: name, linkIdx: make(map[[2]int]int)}
+	c := &Cluster{Name: name}
 	devID := 0
 	baseNIC := servers[0].NICBandwidth
 	for _, sc := range servers {
@@ -148,10 +162,10 @@ func New(name string, servers ...Config) *Cluster {
 				}
 				l.Latency = InterServerLatency
 			}
-			c.linkIdx[[2]int{a.ID, b.ID}] = l.Index
 			c.Links = append(c.Links, l)
 		}
 	}
+	c.indexLinks()
 	return c
 }
 
@@ -164,14 +178,11 @@ func (c *Cluster) Clone() *Cluster {
 		Servers: make([]Server, len(c.Servers)),
 		Devices: append([]Device(nil), c.Devices...),
 		Links:   append([]Link(nil), c.Links...),
-		linkIdx: make(map[[2]int]int, len(c.linkIdx)),
+		linkIdx: append([]int32(nil), c.linkIdx...),
 	}
 	for i, s := range c.Servers {
 		out.Servers[i] = s
 		out.Servers[i].Devices = append([]int(nil), s.Devices...)
-	}
-	for k, v := range c.linkIdx {
-		out.linkIdx[k] = v
 	}
 	return out
 }
@@ -189,8 +200,7 @@ func (c *Cluster) WithoutDevice(id int) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: cannot remove the last device")
 	}
 	out := &Cluster{
-		Name:    fmt.Sprintf("%s-minus-G%d", c.Name, id),
-		linkIdx: make(map[[2]int]int),
+		Name: fmt.Sprintf("%s-minus-G%d", c.Name, id),
 	}
 	remap := make([]int, len(c.Devices))
 	for i := range remap {
@@ -222,9 +232,9 @@ func (c *Cluster) WithoutDevice(id int) (*Cluster, error) {
 		nl := l
 		nl.Index = len(out.Links)
 		nl.Src, nl.Dst = remap[l.Src], remap[l.Dst]
-		out.linkIdx[[2]int{nl.Src, nl.Dst}] = nl.Index
 		out.Links = append(out.Links, nl)
 	}
+	out.indexLinks()
 	return out, nil
 }
 
@@ -239,11 +249,11 @@ func (c *Cluster) LinkBetween(src, dst int) (Link, error) {
 	if src == dst {
 		return Link{}, fmt.Errorf("no self link for device %d", src)
 	}
-	idx, ok := c.linkIdx[[2]int{src, dst}]
-	if !ok {
+	n := len(c.Devices)
+	if src < 0 || dst < 0 || src >= n || dst >= n || len(c.linkIdx) != n*n || c.linkIdx[src*n+dst] < 0 {
 		return Link{}, fmt.Errorf("no link %d->%d", src, dst)
 	}
-	return c.Links[idx], nil
+	return c.Links[c.linkIdx[src*n+dst]], nil
 }
 
 // TransferTime estimates moving bytes from src to dst over their direct link.

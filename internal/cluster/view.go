@@ -72,7 +72,7 @@ func (c *Cluster) ViewOf(deviceIDs ...int) (*View, error) {
 		}
 	}
 
-	sub := &Cluster{linkIdx: make(map[[2]int]int, len(ids)*(len(ids)-1))}
+	sub := &Cluster{}
 	v := &View{Cluster: sub, fleet: c, fleetIDs: ids}
 
 	serverRemap := make(map[int]int, len(ids))
@@ -108,10 +108,10 @@ func (c *Cluster) ViewOf(deviceIDs ...int) (*View, error) {
 			nl := pl
 			nl.Index = len(sub.Links)
 			nl.Src, nl.Dst = a, b
-			sub.linkIdx[[2]int{a, b}] = nl.Index
 			sub.Links = append(sub.Links, nl)
 		}
 	}
+	sub.indexLinks()
 	sub.Name = shapeName(sub)
 	return v, nil
 }

@@ -31,10 +31,16 @@ type Coster interface {
 // backward and apply ops follow their forward op's group decision so that a
 // parameter's gradient flow is always consistent with its replication.
 func EffectiveDecision(s *strategy.Strategy, op *graph.Op) strategy.Decision {
+	return s.Decisions[EffectiveGroup(s, op)]
+}
+
+// EffectiveGroup is the index of the group whose decision applies to op
+// (see EffectiveDecision).
+func EffectiveGroup(s *strategy.Strategy, op *graph.Op) int {
 	if op.Forward != nil {
-		return s.DecisionFor(op.Forward.ID)
+		return s.Grouping.GroupOf[op.Forward.ID]
 	}
-	return s.DecisionFor(op.ID)
+	return s.Grouping.GroupOf[op.ID]
 }
 
 // PropReplicaCounts returns per-device replica counts proportional to compute

@@ -74,8 +74,9 @@ type DistGraph struct {
 	// and optimizer state for every op instance placed on device d.
 	PersistentBytes []int64
 
-	// laneRR round-robins NIC lane assignment per (server, direction).
-	laneRR map[[2]int]int
+	// laneOut and laneIn round-robin NIC lane assignment per server and
+	// direction.
+	laneOut, laneIn []int
 }
 
 // NumUnits returns GPUs + comm units over all servers + the NCCL unit.
@@ -145,14 +146,23 @@ func (dg *DistGraph) CommUnitsBetween(srcDev, dstDev int) []int {
 	if ss == ds {
 		return []int{dg.PCIeUnit(ss)}
 	}
-	if dg.laneRR == nil {
-		dg.laneRR = make(map[[2]int]int)
+	out, in := dg.NICLanePair(ss, ds)
+	return []int{out, in}
+}
+
+// NICLanePair returns the units of a cross-server transfer from srcServer to
+// dstServer: the source NIC's next egress lane and the destination NIC's
+// next ingress lane, advancing both round-robins.
+func (dg *DistGraph) NICLanePair(srcServer, dstServer int) (out, in int) {
+	if dg.laneOut == nil {
+		dg.laneOut = make([]int, len(dg.Cluster.Servers))
+		dg.laneIn = make([]int, len(dg.Cluster.Servers))
 	}
-	outLane := dg.laneRR[[2]int{ss, 0}]
-	dg.laneRR[[2]int{ss, 0}]++
-	inLane := dg.laneRR[[2]int{ds, 1}]
-	dg.laneRR[[2]int{ds, 1}]++
-	return []int{dg.NICOutUnit(ss, outLane), dg.NICInUnit(ds, inLane)}
+	out = dg.NICOutUnit(srcServer, dg.laneOut[srcServer])
+	dg.laneOut[srcServer]++
+	in = dg.NICInUnit(dstServer, dg.laneIn[dstServer])
+	dg.laneIn[dstServer]++
+	return out, in
 }
 
 // Validate checks the distributed graph for structural soundness. Dist op
@@ -225,9 +235,8 @@ func (dg *DistGraph) Validate() error {
 }
 
 // Successors builds the successor lists indexed by dense dist-op ID. The
-// lists share one backing array sized by a counting pass — callers rebuild
-// them every ordering/verification round, so per-edge append growth would
-// dominate the planner's allocation profile.
+// lists share one backing array sized by a counting pass, so per-edge append
+// growth does not show in an allocation profile.
 func (dg *DistGraph) Successors() [][]*DistOp {
 	counts := make([]int, len(dg.Ops))
 	total := 0
@@ -252,34 +261,51 @@ func (dg *DistGraph) Successors() [][]*DistOp {
 	return succ
 }
 
-// TopoOrder returns dist ops in dependency order.
+// TopoOrder returns dist ops in dependency order: Kahn's algorithm, taking
+// ops whose inputs are all ordered in the order they became ready, and
+// ready ops with no inputs in dg.Ops order. A cycle leaves the ops on it (and
+// everything after them) out of the order. The successor lists are dist op
+// IDs in one flat array rather than per-op pointer lists: the planner orders
+// every lowered graph, so this is hot, and ID arrays hold no pointers for
+// the garbage collector to scan.
 func (dg *DistGraph) TopoOrder() []*DistOp {
-	return dg.TopoOrderFrom(dg.Successors())
-}
-
-// TopoOrderFrom is TopoOrder over successor lists the caller already built —
-// rank computation and the verification passes walk both and would otherwise
-// pay for the adjacency construction twice.
-func (dg *DistGraph) TopoOrderFrom(succ [][]*DistOp) []*DistOp {
-	indeg := make([]int, len(dg.Ops))
+	n := len(dg.Ops)
+	// Op id's successors are succ[start[id]:start[id+1]], in dg.Ops order.
+	start := make([]int32, n+1)
 	for _, op := range dg.Ops {
-		indeg[op.ID] = len(op.Inputs)
-	}
-	queue := make([]*DistOp, 0, len(dg.Ops))
-	for _, op := range dg.Ops {
-		if indeg[op.ID] == 0 {
-			queue = append(queue, op)
+		for _, in := range op.Inputs {
+			start[in.ID+1]++
 		}
 	}
-	order := make([]*DistOp, 0, len(dg.Ops))
-	for len(queue) > 0 {
-		op := queue[0]
-		queue = queue[1:]
-		order = append(order, op)
-		for _, s := range succ[op.ID] {
-			indeg[s.ID]--
-			if indeg[s.ID] == 0 {
-				queue = append(queue, s)
+	for id := 0; id < n; id++ {
+		start[id+1] += start[id]
+	}
+	succ := make([]int32, start[n])
+	next := make([]int32, n) // per op: successors filled so far
+	for _, op := range dg.Ops {
+		for _, in := range op.Inputs {
+			succ[start[in.ID]+next[in.ID]] = int32(op.ID)
+			next[in.ID]++
+		}
+	}
+	indeg := next
+	for _, op := range dg.Ops {
+		indeg[op.ID] = int32(len(op.Inputs))
+	}
+	// The order doubles as the FIFO queue: ops are appended when their last
+	// input is ordered and taken in append order.
+	order := make([]*DistOp, 0, n)
+	for _, op := range dg.Ops {
+		if indeg[op.ID] == 0 {
+			order = append(order, op)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		id := order[head].ID
+		for _, s := range succ[start[id]:start[id+1]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				order = append(order, dg.Ops[s])
 			}
 		}
 	}
@@ -288,10 +314,14 @@ func (dg *DistGraph) TopoOrderFrom(succ [][]*DistOp) []*DistOp {
 
 // CriticalPath returns the longest chain of op durations through the graph —
 // a lower bound on any schedule's makespan.
-func (dg *DistGraph) CriticalPath() float64 {
+func (dg *DistGraph) CriticalPath() float64 { return dg.CriticalPathFrom(dg.TopoOrder()) }
+
+// CriticalPathFrom is CriticalPath over a topological order of dg.Ops the
+// caller already built (the planning pipeline's Verify pass keeps one).
+func (dg *DistGraph) CriticalPathFrom(order []*DistOp) float64 {
 	longest := make([]float64, len(dg.Ops))
 	var best float64
-	for _, op := range dg.TopoOrder() {
+	for _, op := range order {
 		start := 0.0
 		for _, in := range op.Inputs {
 			if longest[in.ID] > start {

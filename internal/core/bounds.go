@@ -61,29 +61,53 @@ func (ev *Evaluator) EnablePruning(cfg *PruneConfig) {
 	}
 }
 
-// boundState caches per-decision replica layouts for the analytic
-// pre-lowering bound. Decisions recur constantly across sampled candidates
-// (the action space is only M+4 wide), so each layout is computed once per
-// evaluator. Scenario twins keep their own state: fault perturbations can
-// change the cluster's proportional replica shares.
+// boundState holds what the analytic pre-lowering bound needs of one
+// evaluator, computed on first use: each screened op's instance time on every
+// device under each of the three fraction vectors a decision can place it
+// with (whole on one device, the even DP share, the proportional DP share).
+// A screen is then a sum of table entries instead of a cost-model query per
+// op and device. Value copies of an evaluator (the FIFO twin) share the
+// state; scenario twins keep their own, because fault perturbations change
+// the cost model and the proportional replica shares.
 type boundState struct {
-	mu    sync.Mutex
-	fracs map[strategy.Decision][]float64
+	once sync.Once
+	m    int   // devices
+	eff  []int // per screened op: the op ID whose group decides it
+	// one, even and prop hold, at [i*m+dev], screened op i's time on dev
+	// when it runs there whole, at the even share, and at the proportional
+	// share.
+	one, even, prop []float64
 }
 
-func newBoundState() *boundState {
-	return &boundState{fracs: make(map[strategy.Decision][]float64)}
-}
+func newBoundState() *boundState { return &boundState{} }
 
-func (b *boundState) layout(d strategy.Decision, c *cluster.Cluster) []float64 {
-	b.mu.Lock()
-	fr, ok := b.fracs[d]
-	if !ok {
-		fr = plan.LayoutFor(d, c).Fracs
-		b.fracs[d] = fr
-	}
-	b.mu.Unlock()
-	return fr
+// table builds the per-op times once.
+func (b *boundState) table(ev *Evaluator) *boundState {
+	b.once.Do(func() {
+		c := ev.Cluster.Cluster
+		m := c.NumDevices()
+		evenFr := plan.LayoutFor(strategy.Decision{Kind: strategy.DPEvenPS}, c).Fracs
+		propFr := plan.LayoutFor(strategy.Decision{Kind: strategy.DPPropPS}, c).Fracs
+		b.m = m
+		for _, op := range ev.Graph.Ops {
+			if op.Kind == graph.KindApplyGradient || op.Kind.IsComm() {
+				continue
+			}
+			// The op's effective decision (compiler.EffectiveDecision):
+			// backward and apply ops follow their forward op's group.
+			id := op.ID
+			if op.Forward != nil {
+				id = op.Forward.ID
+			}
+			b.eff = append(b.eff, id)
+			for dev := 0; dev < m; dev++ {
+				b.one = append(b.one, ev.Cost.OpTime(op, dev, 1))
+				b.even = append(b.even, ev.Cost.OpTime(op, dev, evenFr[dev]))
+				b.prop = append(b.prop, ev.Cost.OpTime(op, dev, propFr[dev]))
+			}
+		}
+	})
+	return b
 }
 
 // preLowerBound is a lower bound on the per-iteration time of strategy s
@@ -95,17 +119,30 @@ func (b *boundState) layout(d strategy.Decision, c *cluster.Cluster) []float64 {
 // device's instances and a single GPU serializes them. ApplyGradient ops are
 // skipped (parameter-server aggregation relocates them off the replica
 // layout), as are communication and compiler-synthesized glue ops — the
-// bound only undercounts, never overcounts.
+// bound only undercounts, never overcounts. Each device's total is summed in
+// graph op order, so the bound is the same float whichever way the per-op
+// times are looked up.
 func (ev *Evaluator) preLowerBound(s *strategy.Strategy) float64 {
-	work := make([]float64, ev.Cluster.NumDevices())
-	for _, op := range ev.Graph.Ops {
-		if op.Kind == graph.KindApplyGradient || op.Kind.IsComm() {
-			continue
-		}
-		fr := ev.bounds.layout(compiler.EffectiveDecision(s, op), ev.Cluster.Cluster)
-		for dev, f := range fr {
-			if f > 0 {
-				work[dev] += ev.Cost.OpTime(op, dev, f)
+	bt := ev.bounds.table(ev)
+	m := bt.m
+	work := make([]float64, m)
+	groupOf := s.Grouping.GroupOf
+	for i, id := range bt.eff {
+		d := s.Decisions[groupOf[id]]
+		row := i * m
+		switch d.Kind {
+		case strategy.MP:
+			if d.Device < 0 || d.Device >= m {
+				return 0 // not a valid placement; lowering rejects it
+			}
+			work[d.Device] += bt.one[row+d.Device]
+		case strategy.DPEvenPS, strategy.DPEvenAR:
+			for dev, t := range bt.even[row : row+m] {
+				work[dev] += t
+			}
+		case strategy.DPPropPS, strategy.DPPropAR:
+			for dev, t := range bt.prop[row : row+m] {
+				work[dev] += t
 			}
 		}
 	}
@@ -140,8 +177,9 @@ func DistLowerBound(dg *compiler.DistGraph) float64 {
 	return maxw / float64(iters)
 }
 
-// PreLowerBound exposes the analytic pre-lowering bound for tests and
-// diagnostics. It returns 0 (no information) when pruning is not enabled.
+// PreLowerBound exposes the analytic pre-lowering bound. It returns 0 (no
+// information) when pruning is not enabled. The planner computes it once per
+// seed to order the seed pool and hands it back through EvaluateScreened.
 func (ev *Evaluator) PreLowerBound(s *strategy.Strategy) float64 {
 	if ev.bounds == nil {
 		return 0

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"heterog/internal/compiler"
+	"heterog/internal/graph"
+	"heterog/internal/plan"
 	"heterog/internal/sim"
 	"heterog/internal/strategy"
 )
@@ -61,6 +64,40 @@ func TestAnalyticBoundsAreSound(t *testing.T) {
 		// makespan covers the critical path and every unit's total work.
 		if err := sim.Validate(e.Dist, e.Result); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestPreLowerBoundBitEqualToDirectSum: the screen reads per-op times from
+// a table built once per evaluator. Summed per device in graph op order, the
+// table gives the same float as asking the cost model for every op's
+// instance time under its decision's layout, on 4 and 8 devices.
+func TestPreLowerBoundBitEqualToDirectSum(t *testing.T) {
+	for _, devs := range []int{4, 8} {
+		ev := evaluatorFor(t, "inception_v3", 64, devs)
+		ev.EnablePruning(nil)
+		rng := rand.New(rand.NewSource(int64(devs)))
+		for trial := 0; trial < 10; trial++ {
+			s := randomStrategy(t, ev, rng)
+			work := make([]float64, devs)
+			for _, op := range ev.Graph.Ops {
+				if op.Kind == graph.KindApplyGradient || op.Kind.IsComm() {
+					continue
+				}
+				fr := plan.LayoutFor(compiler.EffectiveDecision(s, op), ev.Cluster.Cluster).Fracs
+				for dev, f := range fr {
+					if f > 0 {
+						work[dev] += ev.Cost.OpTime(op, dev, f)
+					}
+				}
+			}
+			var want float64
+			for _, w := range work {
+				want = math.Max(want, w)
+			}
+			if got := ev.PreLowerBound(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d devices, trial %d: bound %v, direct sum %v", devs, trial, got, want)
+			}
 		}
 	}
 }

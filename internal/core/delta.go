@@ -194,7 +194,7 @@ func (ev *Evaluator) evaluateDeltaOne(target *Evaluator, s *strategy.Strategy, t
 	simBound := math.Inf(1)
 	if prune {
 		simBound = timeBound * float64(iters) * target.Prune.simSlack()
-		if db := DistLowerBound(art.Dist); db > timeBound || art.Dist.CriticalPath() > simBound {
+		if db := DistLowerBound(art.Dist); db > timeBound || art.Dist.CriticalPathFrom(art.Topo) > simBound {
 			ev.pipe.prunedPost(time.Since(began))
 			return target.prunedEval(s, timeBound, timeBound), nil
 		}

@@ -195,14 +195,27 @@ func (ev *Evaluator) Evaluate(s *strategy.Strategy) (*Evaluation, error) {
 // inherit the nominal incumbent bound scaled into their own time domain; a
 // candidate pruned under any scenario is pruned as a whole.
 func (ev *Evaluator) EvaluateBounded(s *strategy.Strategy, bound float64) (*Evaluation, error) {
+	return ev.EvaluateScreened(s, bound, unscreened)
+}
+
+// unscreened marks a pre-lowering bound not computed yet. Real bounds are
+// sums of op times, never negative.
+const unscreened = -1.0
+
+// EvaluateScreened is EvaluateBounded for a strategy whose pre-lowering
+// bound the caller already computed with PreLowerBound on this evaluator or
+// a value copy of it (the bound does not depend on the execution order).
+// The planner orders its seed pool by that bound and passes it back here, so
+// no seed is screened twice.
+func (ev *Evaluator) EvaluateScreened(s *strategy.Strategy, bound, pre float64) (*Evaluation, error) {
 	if ev.Robust == nil {
-		return ev.evaluateBounded(s, bound)
+		return ev.evaluateBounded(s, bound, pre)
 	}
 	tb := math.Inf(1)
 	if ev.Prune != nil && validBound(bound) {
 		tb = scoreToTime(bound, true)
 	}
-	e, err := ev.evaluateBounded(s, tb)
+	e, err := ev.evaluateBounded(s, tb, pre)
 	if err != nil || e.Pruned {
 		if e != nil && e.Pruned {
 			e.PrunedAt = bound
@@ -225,8 +238,9 @@ func (ev *Evaluator) EvaluateBounded(s *strategy.Strategy, bound float64) (*Eval
 }
 
 // evaluateBounded runs the compile → order → simulate pipeline against a
-// per-iteration time bound (+Inf disables pruning).
-func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64) (*Evaluation, error) {
+// per-iteration time bound (+Inf disables pruning). pre is s's pre-lowering
+// bound, or unscreened to compute it here when the screen runs.
+func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float64) (*Evaluation, error) {
 	iters := ev.Iterations
 	if iters <= 0 {
 		iters = 3
@@ -247,7 +261,10 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64) (*
 	}
 	if prune {
 		ev.pipe.boundTried()
-		if pb := ev.preLowerBound(s); pb > timeBound {
+		if pre == unscreened {
+			pre = ev.preLowerBound(s)
+		}
+		if pre > timeBound {
 			ev.pipe.prunedPre(time.Since(began))
 			return ev.prunedEval(s, timeBound, timeBound), nil
 		}
@@ -262,7 +279,7 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound float64) (*
 	simBound := math.Inf(1)
 	if prune {
 		simBound = timeBound * float64(iters) * ev.Prune.simSlack()
-		if db := DistLowerBound(art.Dist); db > timeBound || art.Dist.CriticalPath() > simBound {
+		if db := DistLowerBound(art.Dist); db > timeBound || art.Dist.CriticalPathFrom(art.Topo) > simBound {
 			ev.pipe.prunedPost(time.Since(began))
 			return ev.prunedEval(s, timeBound, timeBound), nil
 		}

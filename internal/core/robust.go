@@ -93,8 +93,8 @@ func (ev *Evaluator) EnableRobustness(scs []*faults.Scenario, blend float64) err
 			Prune:       ev.Prune,
 		}
 		if ev.Prune != nil {
-			// Perturbed clusters can shift proportional replica shares, so
-			// each twin keeps its own layout cache for the analytic bound.
+			// Perturbed clusters change op times and can shift proportional
+			// replica shares, so each twin keeps its own bound table.
 			r.evs[k].bounds = newBoundState()
 		}
 	}
@@ -155,7 +155,7 @@ func (r *Robustness) reportBounded(useFIFO bool, s *strategy.Strategy, nominal *
 				b := scoreBound / r.Blend
 				tb = b * b
 			}
-			e, err := sev.evaluateBounded(s, tb)
+			e, err := sev.evaluateBounded(s, tb, unscreened)
 			if err != nil {
 				errs[k] = err
 				return

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"heterog/internal/cluster"
 	"heterog/internal/compiler"
@@ -62,35 +62,48 @@ func (ctx *AggContext) Ablations() compiler.Ablations { return ctx.a.Ablate }
 func (ctx *AggContext) Cost() compiler.Coster { return ctx.a.Cost }
 
 // GradInstances returns the gradient producer's instances for the site's
-// iteration, keyed by device.
-func (ctx *AggContext) GradInstances(site *AggSite) map[int]*compiler.DistOp {
-	return ctx.a.instances[site.Iter][site.Grad.ID]
+// iteration, indexed by device (nil where it has no replica).
+func (ctx *AggContext) GradInstances(site *AggSite) []*Node {
+	return ctx.a.inst(site.Iter, site.Grad.ID)
 }
 
-// Emit creates a node in the site's bucket.
-func (ctx *AggContext) Emit(name string, kind graph.OpKind, units []int, t float64, outBytes int64, memDev int, src *graph.Op, inputs ...*compiler.DistOp) *compiler.DistOp {
+// Unit returns the shared one-element unit list {u}; it must not be
+// modified.
+func (ctx *AggContext) Unit(u int) []int { return ctx.a.unit(u) }
+
+// Inputs returns an empty producer list with room for k entries, for a node
+// whose inputs are collected before it is emitted.
+func (ctx *AggContext) Inputs(k int) []*compiler.DistOp { return ctx.a.slab.inputs(k) }
+
+// Emit creates a node in the site's bucket. The inputs are copied.
+func (ctx *AggContext) Emit(name string, kind graph.OpKind, units []int, t float64, outBytes int64, memDev int, src *graph.Op, inputs ...*compiler.DistOp) *Node {
 	n := ctx.e.add(name, kind, units, t, outBytes, memDev, src, inputs...)
 	n.Op.Iter = ctx.e.iter
-	return n.Op
+	return n
 }
 
 // EmitSend creates a transfer in the site's bucket (comm units are assigned
 // at materialization, in global emission order).
-func (ctx *AggContext) EmitSend(name string, srcDev, dstDev int, bytes int64, inputs ...*compiler.DistOp) (*compiler.DistOp, error) {
+func (ctx *AggContext) EmitSend(name string, srcDev, dstDev int, bytes int64, inputs ...*compiler.DistOp) (*Node, error) {
 	n, err := ctx.e.addSend(name, srcDev, dstDev, bytes, inputs...)
 	if err != nil {
 		return nil, err
 	}
 	n.Op.Iter = ctx.e.iter
 	ctx.moved += bytes
-	return n.Op, nil
+	return n, nil
 }
 
-// SetApply records the lowered apply instances and the apply op's resulting
-// layout (a PS collapses it to the chosen server device).
-func (ctx *AggContext) SetApply(site *AggSite, inst map[int]*compiler.DistOp, lay Layout) {
+// SetApply records the apply op's resulting layout (a PS collapses it to the
+// chosen server device).
+func (ctx *AggContext) SetApply(site *AggSite, lay Layout) {
 	ctx.a.Layouts[site.Apply.ID] = lay
-	ctx.a.instances[site.Iter][site.Apply.ID] = inst
+}
+
+// SetApplyInstance records the apply op's lowered instance on dev, the
+// source of control edges from the apply op.
+func (ctx *AggContext) SetApplyInstance(site *AggSite, dev int, n *Node) {
+	ctx.a.inst(site.Iter, site.Apply.ID)[dev] = n
 }
 
 // SetReady records the op that must finish before the site's forward op may
@@ -100,11 +113,7 @@ func (ctx *AggContext) SetReady(site *AggSite, dev int, op *compiler.DistOp) {
 	if fwd == nil {
 		return
 	}
-	rd := ctx.a.ready[site.Iter]
-	if rd[fwd.ID] == nil {
-		rd[fwd.ID] = make(map[int]*compiler.DistOp)
-	}
-	rd[fwd.ID][dev] = op
+	ctx.a.readyRow(site.Iter, fwd.ID)[dev] = op
 }
 
 // AggregationLoweringPass lowers every ApplyGradient op through its first
@@ -200,7 +209,6 @@ func newAggSite(a *Artifacts, op *graph.Op, iter, slot int) (*AggSite, error) {
 // parameters in iteration k-1 (the PS pull/relay, or the local apply).
 func linkParamReady(a *Artifacts) {
 	for it := 1; it < a.Iterations; it++ {
-		prev := a.ready[it-1]
 		for _, op := range a.Order {
 			if op.Kind == graph.KindNoOp || op.Kind == graph.KindApplyGradient {
 				continue
@@ -208,14 +216,11 @@ func linkParamReady(a *Artifacts) {
 			if op.ParamBytes <= 0 || op.Kind.IsBackward() {
 				continue
 			}
-			ready := prev[op.ID]
-			if ready == nil {
-				continue
-			}
-			inst := a.instances[it][op.ID]
+			ready := a.readyRow(it-1, op.ID)
+			inst := a.inst(it, op.ID)
 			for _, dev := range a.Layouts[op.ID].Devices() {
-				if pr, ok := ready[dev]; ok {
-					inst[dev].Inputs = append(inst[dev].Inputs, pr)
+				if pr := ready[dev]; pr != nil {
+					inst[dev].link(pr)
 				}
 			}
 		}
@@ -226,12 +231,7 @@ func linkParamReady(a *Artifacts) {
 // ApplyGradient op, now that apply instances exist.
 func linkDeferredCtrl(a *Artifacts) {
 	for _, ce := range a.deferredCtrl {
-		srcInst, ok := a.instances[ce.iter][ce.src.ID]
-		if !ok {
-			continue
-		}
-		inst := a.instances[ce.iter][ce.consumer.ID]
-		wireCtrl(a, inst, srcInst)
+		wireCtrl(a.inst(ce.iter, ce.consumer.ID), a.inst(ce.iter, ce.src.ID))
 	}
 }
 
@@ -251,9 +251,10 @@ func (LocalApplyLowering) Lower(ctx *AggContext, site *AggSite) error {
 	op := site.Apply
 	gwInst := ctx.GradInstances(site)
 	t := ctx.Cost().OpTime(op, dev, 1)
-	apply := ctx.Emit(fmt.Sprintf("it%d/%s@%d", site.Iter, op.Name, dev), op.Kind, []int{dev}, t, op.OutputBytes, dev, op, gwInst[dev])
-	ctx.SetReady(site, dev, apply)
-	ctx.SetApply(site, map[int]*compiler.DistOp{dev: apply}, Layout{Fracs: oneHot(ctx.a.Cluster.NumDevices(), dev)})
+	apply := ctx.Emit(instName(site.Iter, op.Name, "", dev), op.Kind, ctx.Unit(dev), t, op.OutputBytes, dev, op, gwInst[dev].Op)
+	ctx.SetReady(site, dev, apply.Op)
+	ctx.SetApplyInstance(site, dev, apply)
+	ctx.SetApply(site, oneHot(ctx.a.Cluster.NumDevices(), dev))
 	return nil
 }
 
@@ -278,15 +279,21 @@ func (AllReduceLowering) Lower(ctx *AggContext, site *AggSite) error {
 	gwInst := ctx.GradInstances(site)
 	t := allReduceTime(a, site.Devs, site.GradBytes)
 	units := allReduceUnits(a, site.Devs)
-	ar := ctx.Emit(fmt.Sprintf("it%d/%s_allreduce", site.Iter, gw.Name), graph.KindAllReduce, units, t, 0, -1, nil, sortedInstances(gwInst)...)
-	applyInst := make(map[int]*compiler.DistOp)
+	grads := ctx.Inputs(len(site.Devs))
+	for _, n := range gwInst {
+		if n != nil {
+			grads = append(grads, n.Op)
+		}
+	}
+	ar := ctx.Emit("it"+strconv.Itoa(site.Iter)+"/"+gw.Name+"_allreduce", graph.KindAllReduce, units, t, 0, -1, nil)
+	ar.Op.Inputs = grads
 	for _, dev := range site.Devs {
 		at := ctx.Cost().OpTime(op, dev, 1)
-		apply := ctx.Emit(fmt.Sprintf("it%d/%s@%d", site.Iter, op.Name, dev), op.Kind, []int{dev}, at, op.OutputBytes, dev, op, ar)
-		applyInst[dev] = apply
-		ctx.SetReady(site, dev, apply)
+		apply := ctx.Emit(instName(site.Iter, op.Name, "", dev), op.Kind, ctx.Unit(dev), at, op.OutputBytes, dev, op, ar.Op)
+		ctx.SetApplyInstance(site, dev, apply)
+		ctx.SetReady(site, dev, apply.Op)
 	}
-	ctx.SetApply(site, applyInst, site.Layout)
+	ctx.SetApply(site, site.Layout)
 	return nil
 }
 
@@ -314,8 +321,8 @@ func (ParamServerLowering) Lower(ctx *AggContext, site *AggSite) error {
 	lay, devs, gradBytes := site.Layout, site.Devs, site.GradBytes
 	pushWhole := psPushBytes(a.Ablate, gw, gradBytes)
 	ps := choosePS(ctx, site, devs, pushWhole)
-	var aggIns []*compiler.DistOp
-	aggIns = append(aggIns, gwInst[ps])
+	aggIns := ctx.Inputs(len(devs))
+	aggIns = append(aggIns, gwInst[ps].Op)
 	for _, dev := range devs {
 		if dev == ps {
 			continue
@@ -324,52 +331,53 @@ func (ParamServerLowering) Lower(ctx *AggContext, site *AggSite) error {
 		if pushWhole != gradBytes {
 			pushBytes = int64(float64(pushWhole) * lay.Fracs[dev])
 		}
-		send, err := ctx.EmitSend(fmt.Sprintf("it%d/%s_push@%d", site.Iter, gw.Name, dev), dev, ps, pushBytes, gwInst[dev])
+		send, err := ctx.EmitSend(instName(site.Iter, gw.Name, "_push", dev), dev, ps, pushBytes, gwInst[dev].Op)
 		if err != nil {
 			return err
 		}
-		aggIns = append(aggIns, send)
+		aggIns = append(aggIns, send.Op)
 	}
-	tmp := &graph.Op{Name: gw.Name + "_agg", Kind: graph.KindGradAgg, OutputBytes: gradBytes * int64(len(devs))}
-	aggT := ctx.Cost().SyntheticOpTime(tmp, ps, 1)
-	agg := ctx.Emit(fmt.Sprintf("it%d/%s_agg@%d", site.Iter, gw.Name, ps), graph.KindGradAgg, []int{ps}, aggT, gradBytes, ps, nil, aggIns...)
+	aggT := a.synthTime(gw.Name+"_agg", graph.KindGradAgg, gradBytes*int64(len(devs)), false, ps)
+	agg := ctx.Emit(instName(site.Iter, gw.Name, "_agg", ps), graph.KindGradAgg, ctx.Unit(ps), aggT, gradBytes, ps, nil)
+	agg.Op.Inputs = aggIns
 	at := ctx.Cost().OpTime(op, ps, 1)
-	apply := ctx.Emit(fmt.Sprintf("it%d/%s@%d", site.Iter, op.Name, ps), op.Kind, []int{ps}, at, op.OutputBytes, ps, op, agg)
-	ctx.SetReady(site, ps, apply)
+	apply := ctx.Emit(instName(site.Iter, op.Name, "", ps), op.Kind, ctx.Unit(ps), at, op.OutputBytes, ps, op, agg.Op)
+	ctx.SetReady(site, ps, apply.Op)
 	// Updated parameters are pulled once per server; GPUs sharing the server
 	// receive them over the PCIe bus (hierarchical broadcast, halving the
 	// NIC pull traffic exactly as TF's replicated-variable broadcast does).
 	c := a.Cluster
-	pullHead := make(map[int]*compiler.DistOp)
+	pullHead := ctx.Inputs(len(c.Servers))[:len(c.Servers)] // per server
 	for _, dev := range devs {
 		if dev == ps {
 			continue
 		}
 		srv := c.Devices[dev].Server
 		if srv == c.Devices[ps].Server {
-			pull, err := ctx.EmitSend(fmt.Sprintf("it%d/%s_pull@%d", site.Iter, gw.Name, dev), ps, dev, pushWhole, apply)
+			pull, err := ctx.EmitSend(instName(site.Iter, gw.Name, "_pull", dev), ps, dev, pushWhole, apply.Op)
 			if err != nil {
 				return err
 			}
-			ctx.SetReady(site, dev, pull)
+			ctx.SetReady(site, dev, pull.Op)
 			continue
 		}
-		if head, ok := pullHead[srv]; ok && !a.Ablate.NoHierarchicalPull {
-			relay, err := ctx.EmitSend(fmt.Sprintf("it%d/%s_relay@%d", site.Iter, gw.Name, dev), head.MemDevice, dev, pushWhole, head)
+		if head := pullHead[srv]; head != nil && !a.Ablate.NoHierarchicalPull {
+			relay, err := ctx.EmitSend(instName(site.Iter, gw.Name, "_relay", dev), head.MemDevice, dev, pushWhole, head)
 			if err != nil {
 				return err
 			}
-			ctx.SetReady(site, dev, relay)
+			ctx.SetReady(site, dev, relay.Op)
 			continue
 		}
-		pull, err := ctx.EmitSend(fmt.Sprintf("it%d/%s_pull@%d", site.Iter, gw.Name, dev), ps, dev, pushWhole, apply)
+		pull, err := ctx.EmitSend(instName(site.Iter, gw.Name, "_pull", dev), ps, dev, pushWhole, apply.Op)
 		if err != nil {
 			return err
 		}
-		pullHead[srv] = pull
-		ctx.SetReady(site, dev, pull)
+		pullHead[srv] = pull.Op
+		ctx.SetReady(site, dev, pull.Op)
 	}
-	ctx.SetApply(site, map[int]*compiler.DistOp{ps: apply}, Layout{Fracs: oneHot(c.NumDevices(), ps)})
+	ctx.SetApplyInstance(site, ps, apply)
+	ctx.SetApply(site, oneHot(c.NumDevices(), ps))
 	return nil
 }
 
@@ -465,26 +473,48 @@ func choosePS(ctx *AggContext, site *AggSite, devs []int, gradBytes int64) int {
 func allReduceUnits(a *Artifacts, devs []int) []int {
 	c := a.Cluster
 	dg := &compiler.DistGraph{Cluster: c}
-	servers := map[int]bool{}
-	for _, d := range devs {
-		servers[d] = false
-		servers[c.Devices[d].Server] = true
+	// The participating servers, marked in one table indexed by device and
+	// by server ID alike: each device clears its own index, then marks its
+	// server's, and the marked indexes, ascending, are the servers. The
+	// clearing keeps the unit lists identical to earlier lowerings (the
+	// simulated times, and so the goldens, depend on them); with devices
+	// numbered in server order it never unmarks a participating server.
+	const cleared, marked = 1, 2
+	var buf [64]uint8
+	mark := buf[:0]
+	if n := max(len(c.Devices), len(c.Servers)); n <= len(buf) {
+		mark = buf[:n]
+	} else {
+		mark = make([]uint8, n)
 	}
-	srvs := make([]int, 0, len(servers))
-	for s, isSrv := range servers {
-		if isSrv {
-			srvs = append(srvs, s)
+	for _, d := range devs {
+		mark[d] = cleared
+		mark[c.Devices[d].Server] = marked
+	}
+	nSrv, last, size := 0, 0, 0
+	if !a.Ablate.NoNCCLSerialization {
+		size++
+	}
+	for s, m := range mark {
+		if m == marked {
+			nSrv, last = nSrv+1, s
+			size += 2 * dg.ServerLanes(s)
 		}
 	}
-	sort.Ints(srvs)
-	var units []int
+	if nSrv == 1 {
+		size = 2
+	}
+	units := a.slab.units(size)
 	if !a.Ablate.NoNCCLSerialization {
 		units = append(units, dg.NCCLUnit())
 	}
-	if len(srvs) == 1 {
-		return append(units, dg.PCIeUnit(srvs[0]))
+	if nSrv == 1 {
+		return append(units, dg.PCIeUnit(last))
 	}
-	for _, s := range srvs {
+	for s, m := range mark {
+		if m != marked {
+			continue
+		}
 		// A cross-server collective saturates every lane of each NIC.
 		for lane := 0; lane < dg.ServerLanes(s); lane++ {
 			units = append(units, dg.NICInUnit(s, lane), dg.NICOutUnit(s, lane))
@@ -552,25 +582,28 @@ func ringTime(a *Artifacts, devs []int, bytes int64) float64 {
 // ring over one leader per server, then broadcast within servers.
 func hierTime(a *Artifacts, devs []int, bytes int64) float64 {
 	c := a.Cluster
-	byServer := map[int][]int{}
-	for _, d := range devs {
-		s := c.Devices[d].Server
-		byServer[s] = append(byServer[s], d)
+	// byServer lists the devices by (server, device) ascending, so each
+	// server's group is a run and the runs come in server order.
+	var buf [64]int
+	byServer := append(buf[:0], devs...)
+	for i := 1; i < len(byServer); i++ {
+		for j := i; j > 0 && serverLess(c, byServer[j], byServer[j-1]); j-- {
+			byServer[j], byServer[j-1] = byServer[j-1], byServer[j]
+		}
 	}
-	if len(byServer) < 2 {
+	if c.Devices[byServer[0]].Server == c.Devices[byServer[len(byServer)-1]].Server {
 		// Single server: hierarchical degenerates to the intra ring.
 		return ringTime(a, devs, bytes)
 	}
+	var lbuf [64]int
+	leaders := lbuf[:0]
 	var intra float64
-	leaders := make([]int, 0, len(byServer))
-	servers := make([]int, 0, len(byServer))
-	for s := range byServer {
-		servers = append(servers, s)
-	}
-	sort.Ints(servers)
-	for _, s := range servers {
-		group := byServer[s]
-		sort.Ints(group)
+	for start := 0; start < len(byServer); {
+		end := start + 1
+		for end < len(byServer) && c.Devices[byServer[end]].Server == c.Devices[byServer[start]].Server {
+			end++
+		}
+		group := byServer[start:end]
 		leaders = append(leaders, group[0])
 		if len(group) > 1 {
 			t := ringTime(a, group, bytes)
@@ -578,8 +611,15 @@ func hierTime(a *Artifacts, devs []int, bytes int64) float64 {
 				intra = t
 			}
 		}
+		start = end
 	}
 	inter := ringTime(a, leaders, bytes)
 	// Final intra-server broadcast of the result: one more pass.
 	return intra + inter + intra/2
+}
+
+// serverLess orders devices by server, then by device index.
+func serverLess(c *cluster.Cluster, x, y int) bool {
+	sx, sy := c.Devices[x].Server, c.Devices[y].Server
+	return sx < sy || (sx == sy && x < y)
 }

@@ -266,9 +266,10 @@ func (d *DeltaState) patch(s *strategy.Strategy, changed map[int]bool, st *Delta
 			case op.Kind == graph.KindNoOp:
 			case op.Kind == graph.KindApplyGradient:
 				if affectedSite[op.ID] {
-					clearBucket(a, it, ti)
+					a.prog.clear(it, ti)
+					clear(a.inst(it, op.ID))
 					if fwd := op.Forward; fwd != nil {
-						delete(a.ready[it], fwd.ID)
+						clear(a.readyRow(it, fwd.ID))
 					}
 					site, err := newAggSite(a, op, it, ti)
 					if err != nil {
@@ -370,49 +371,39 @@ func (d *DeltaState) replaySites(s *strategy.Strategy, changed map[int]bool) (ma
 	return affected, nil
 }
 
-// clearBucket removes a bucket's nodes from the program and the node index,
-// keeping the bucket's storage for re-emission.
-func clearBucket(a *Artifacts, it, slot int) {
-	bi := it*a.prog.width + slot
-	for _, n := range a.prog.buckets[bi] {
-		delete(a.nodes, n.Op)
-	}
-	a.prog.buckets[bi] = a.prog.buckets[bi][:0]
-}
-
 // relowerBucket rebuilds one compute op's bucket: instances (fresh objects
 // for changed ops, the baseline's own objects with reset inputs for rewired
 // consumers), then the same glue and control wiring lowerCompute emits.
 // Control deps on apply ops are deliberately not re-deferred — the deferred
 // list is strategy-independent and patchDeferredCtrl re-links from it.
 func relowerBucket(a *Artifacts, it, slot int, op *graph.Op, keepInst bool) error {
-	clearBucket(a, it, slot)
+	a.prog.clear(it, slot)
 	e := &emitter{a: a, iter: it, slot: slot}
 	lay := a.Layouts[op.ID]
-	var inst map[int]*compiler.DistOp
+	inst := a.inst(it, op.ID)
 	if keepInst {
-		inst = a.instances[it][op.ID]
 		for _, dev := range lay.Devices() {
-			dop := inst[dev]
+			dop := inst[dev].Op
 			dop.Inputs = dop.Inputs[:0]
 			n := &Node{Op: dop, PlanMem: true, Frac: lay.Fracs[dev]}
 			a.prog.emit(it, slot, n)
-			a.nodes[dop] = n
+			inst[dev] = n
 		}
 	} else {
-		inst = make(map[int]*compiler.DistOp)
-		a.instances[it][op.ID] = inst
+		clear(inst)
+		room := len(op.Inputs) + len(op.ControlDeps) + 1
 		for _, dev := range lay.Devices() {
 			frac := lay.Fracs[dev]
 			t := a.Cost.OpTime(op, dev, frac)
-			n := e.add(fmt.Sprintf("it%d/%s@%d", it, op.Name, dev), op.Kind, []int{dev}, t, 0, dev, op)
+			n := e.add(instName(it, op.Name, "", dev), op.Kind, a.unit(dev), t, 0, dev, op)
 			n.Op.Iter = it
+			n.Op.Inputs = a.slab.inputs(room)
 			n.PlanMem = true
 			n.Frac = frac
 			// MemoryPlanning equivalent, applied inline: the full pass only
 			// sizes buffers it has not sized before.
 			n.Op.OutBytes = activationBytes(op, frac)
-			inst[dev] = n.Op
+			inst[dev] = n
 		}
 	}
 	for _, in := range op.Inputs {
@@ -427,9 +418,7 @@ func relowerBucket(a *Artifacts, it, slot int, op *graph.Op, keepInst bool) erro
 		if cd.Kind == graph.KindApplyGradient {
 			continue
 		}
-		if srcInst, ok := a.instances[it][cd.ID]; ok {
-			wireCtrl(a, inst, srcInst)
-		}
+		wireCtrl(inst, a.inst(it, cd.ID))
 	}
 	return nil
 }
@@ -440,7 +429,6 @@ func relowerBucket(a *Artifacts, it, slot int, op *graph.Op, keepInst bool) erro
 // sites were not rebuilt).
 func patchParamReady(a *Artifacts, relit func(int) bool) {
 	for it := 1; it < a.Iterations; it++ {
-		prev := a.ready[it-1]
 		for _, op := range a.Order {
 			if op.Kind == graph.KindNoOp || op.Kind == graph.KindApplyGradient {
 				continue
@@ -451,14 +439,11 @@ func patchParamReady(a *Artifacts, relit func(int) bool) {
 			if !relit(op.ID) {
 				continue
 			}
-			ready := prev[op.ID]
-			if ready == nil {
-				continue
-			}
-			inst := a.instances[it][op.ID]
+			ready := a.readyRow(it-1, op.ID)
+			inst := a.inst(it, op.ID)
 			for _, dev := range a.Layouts[op.ID].Devices() {
-				if pr, ok := ready[dev]; ok {
-					inst[dev].Inputs = append(inst[dev].Inputs, pr)
+				if pr := ready[dev]; pr != nil {
+					inst[dev].link(pr)
 				}
 			}
 		}
@@ -473,10 +458,6 @@ func patchDeferredCtrl(a *Artifacts, relit func(int) bool) {
 		if !relit(ce.consumer.ID) {
 			continue
 		}
-		srcInst, ok := a.instances[ce.iter][ce.src.ID]
-		if !ok {
-			continue
-		}
-		wireCtrl(a, a.instances[ce.iter][ce.consumer.ID], srcInst)
+		wireCtrl(a.inst(ce.iter, ce.consumer.ID), a.inst(ce.iter, ce.src.ID))
 	}
 }

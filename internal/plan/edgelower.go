@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 
 	"heterog/internal/compiler"
 	"heterog/internal/graph"
@@ -19,14 +20,29 @@ func (EdgeLoweringPass) Name() string { return "edge-lowering" }
 
 // Run implements Pass.
 func (EdgeLoweringPass) Run(a *Artifacts) error {
-	a.prog = newProgram(a.Iterations, len(a.Order))
-	a.nodes = make(map[*compiler.DistOp]*Node, len(a.Order)*a.Iterations)
-	a.instances = make([]map[int]map[int]*compiler.DistOp, a.Iterations)
-	a.ready = make([]map[int]map[int]*compiler.DistOp, a.Iterations)
+	a.devs = a.Cluster.NumDevices()
+	rowLen := len(a.Graph.Ops) * a.devs
+	insts := make([]*Node, a.Iterations*rowLen)
+	ready := make([]*compiler.DistOp, a.Iterations*rowLen)
+	a.instances = make([][]*Node, a.Iterations)
+	a.ready = make([][]*compiler.DistOp, a.Iterations)
+	for it := range a.instances {
+		a.instances[it] = insts[it*rowLen : (it+1)*rowLen]
+		a.ready[it] = ready[it*rowLen : (it+1)*rowLen]
+	}
+	a.unitIDs = make([]int, (&compiler.DistGraph{Cluster: a.Cluster}).NumUnits())
+	for u := range a.unitIDs {
+		a.unitIDs[u] = u
+	}
+	// Size the node list for the compute instances plus a quarter for glue
+	// and aggregation.
+	replicas := 0
+	for _, op := range a.Order {
+		replicas += len(a.Layouts[op.ID].Devices())
+	}
+	a.prog = newProgram(a.Iterations, len(a.Order), a.Iterations*replicas*5/4)
 	var bytes int64
 	for it := 0; it < a.Iterations; it++ {
-		a.instances[it] = make(map[int]map[int]*compiler.DistOp, len(a.Order))
-		a.ready[it] = make(map[int]map[int]*compiler.DistOp)
 		for ti, op := range a.Order {
 			switch op.Kind {
 			case graph.KindNoOp:
@@ -35,8 +51,8 @@ func (EdgeLoweringPass) Run(a *Artifacts) error {
 			case graph.KindApplyGradient:
 				continue
 			}
-			e := &emitter{a: a, iter: it, slot: ti}
-			moved, err := lowerCompute(a, e, op)
+			e := emitter{a: a, iter: it, slot: ti}
+			moved, err := lowerCompute(a, &e, op)
 			if err != nil {
 				return err
 			}
@@ -52,18 +68,21 @@ func (EdgeLoweringPass) Run(a *Artifacts) error {
 // returns the tensor bytes routed through inserted transfers.
 func lowerCompute(a *Artifacts, e *emitter, op *graph.Op) (int64, error) {
 	lay := a.Layouts[op.ID]
-	inst := make(map[int]*compiler.DistOp)
-	a.instances[e.iter][op.ID] = inst
+	inst := a.inst(e.iter, op.ID)
+	// Every data input, control dependency and the cross-iteration
+	// parameter-ready input adds one producer to each instance.
+	room := len(op.Inputs) + len(op.ControlDeps) + 1
 	for _, dev := range lay.Devices() {
 		frac := lay.Fracs[dev]
 		t := a.Cost.OpTime(op, dev, frac)
 		// The activation buffer (OutBytes) is sized by MemoryPlanning; the
 		// node carries the batch fraction it needs.
-		n := e.add(fmt.Sprintf("it%d/%s@%d", e.iter, op.Name, dev), op.Kind, []int{dev}, t, 0, dev, op)
+		n := e.add(instName(e.iter, op.Name, "", dev), op.Kind, a.unit(dev), t, 0, dev, op)
 		n.Op.Iter = e.iter
+		n.Op.Inputs = a.slab.inputs(room)
 		n.PlanMem = true
 		n.Frac = frac
-		inst[dev] = n.Op
+		inst[dev] = n
 	}
 	var moved int64
 	for _, in := range op.Inputs {
@@ -86,60 +105,59 @@ func lowerCompute(a *Artifacts, e *emitter, op *graph.Op) (int64, error) {
 			a.deferredCtrl = append(a.deferredCtrl, ctrlEdge{iter: e.iter, consumer: op, src: cd})
 			continue
 		}
-		srcInst, ok := a.instances[e.iter][cd.ID]
-		if !ok {
-			continue
-		}
-		wireCtrl(a, inst, srcInst)
+		wireCtrl(inst, a.inst(e.iter, cd.ID))
 	}
 	return moved, nil
 }
 
 // wireCtrl adds ordering-only edges from a source op's instances to a
 // consumer's instances: same-device where available, else the first instance
-// in device order.
-func wireCtrl(a *Artifacts, inst, srcInst map[int]*compiler.DistOp) {
+// in device order. A source with no instances adds nothing.
+func wireCtrl(inst, srcInst []*Node) {
+	first := firstInstance(srcInst)
+	if first == nil {
+		return
+	}
 	for dev, di := range inst {
-		si, ok := srcInst[dev]
-		if !ok {
-			if ss := sortedInstances(srcInst); len(ss) > 0 {
-				si = ss[0]
-			} else {
-				continue
-			}
+		if di == nil {
+			continue
 		}
-		di.Inputs = append(di.Inputs, si)
-		a.nodes[di].markCtrl(si)
+		si := first
+		if s := srcInst[dev]; s != nil {
+			si = s
+		}
+		di.link(si.Op)
+		di.markCtrl(si.Op)
 	}
 }
 
 // connect wires producer p's instances into consumer c's instances,
 // returning the bytes moved over inserted transfers.
 func connect(a *Artifacts, e *emitter, p, c *graph.Op) (int64, error) {
-	pl, ok := a.Layouts[p.ID]
-	if !ok {
+	pl := a.Layouts[p.ID]
+	if pl.Fracs == nil {
 		return 0, fmt.Errorf("producer %q lowered after consumer %q", p.Name, c.Name)
 	}
 	cl := a.Layouts[c.ID]
-	pInst := a.instances[e.iter][p.ID]
-	cInst := a.instances[e.iter][c.ID]
+	pInst := a.inst(e.iter, p.ID)
+	cInst := a.inst(e.iter, c.ID)
 	var moved int64
 
 	// Non-batch producers hold a full copy per instance: each consumer device
 	// either has a local copy or receives a broadcast of the full tensor.
 	if !p.BatchDim {
-		srcs := sortedInstances(pInst)
+		src := firstInstance(pInst)
 		for _, dev := range cl.Devices() {
-			if pi, ok := pInst[dev]; ok {
-				cInst[dev].Inputs = append(cInst[dev].Inputs, pi)
+			if pi := pInst[dev]; pi != nil {
+				cInst[dev].link(pi.Op)
 				continue
 			}
-			send, err := e.addSend(fmt.Sprintf("%s->%d", p.Name, dev), srcs[0].MemDevice, dev, p.OutputBytes, srcs[0])
+			send, err := e.addSend(p.Name+"->"+strconv.Itoa(dev), src.Op.MemDevice, dev, p.OutputBytes, src.Op)
 			if err != nil {
 				return 0, err
 			}
 			moved += p.OutputBytes
-			cInst[dev].Inputs = append(cInst[dev].Inputs, send.Op)
+			cInst[dev].link(send.Op)
 		}
 		return moved, nil
 	}
@@ -147,7 +165,7 @@ func connect(a *Artifacts, e *emitter, p, c *graph.Op) (int64, error) {
 	// Aligned layouts: direct same-device edges, no communication.
 	if pl.Equal(cl) {
 		for _, dev := range cl.Devices() {
-			cInst[dev].Inputs = append(cInst[dev].Inputs, pInst[dev])
+			cInst[dev].link(pInst[dev].Op)
 		}
 		return 0, nil
 	}
@@ -155,11 +173,11 @@ func connect(a *Artifacts, e *emitter, p, c *graph.Op) (int64, error) {
 	// MP -> MP across devices: a single whole-tensor transfer.
 	pDevs, cDevs := pl.Devices(), cl.Devices()
 	if len(pDevs) == 1 && len(cDevs) == 1 {
-		send, err := e.addSend(fmt.Sprintf("%s->%s", p.Name, c.Name), pDevs[0], cDevs[0], p.OutputBytes, pInst[pDevs[0]])
+		send, err := e.addSend(p.Name+"->"+c.Name, pDevs[0], cDevs[0], p.OutputBytes, pInst[pDevs[0]].Op)
 		if err != nil {
 			return 0, err
 		}
-		cInst[cDevs[0]].Inputs = append(cInst[cDevs[0]].Inputs, send.Op)
+		cInst[cDevs[0]].link(send.Op)
 		return p.OutputBytes, nil
 	}
 
@@ -172,17 +190,16 @@ func connect(a *Artifacts, e *emitter, p, c *graph.Op) (int64, error) {
 			best, hub = score, dev
 		}
 	}
-	var concatIns []*compiler.DistOp
-	var shardDevs []int
+	hubName := strconv.Itoa(hub)
+	concatIns := a.slab.inputs(len(pDevs))
 	for _, dev := range pDevs {
-		pi := pInst[dev]
-		shardDevs = append(shardDevs, dev)
+		pi := pInst[dev].Op
 		if dev == hub {
 			concatIns = append(concatIns, pi)
 			continue
 		}
 		bytes := int64(float64(p.OutputBytes) * pl.Fracs[dev])
-		send, err := e.addSend(fmt.Sprintf("%s@%d->hub%d", p.Name, dev, hub), dev, hub, bytes, pi)
+		send, err := e.addSend(p.Name+"@"+strconv.Itoa(dev)+"->hub"+hubName, dev, hub, bytes, pi)
 		if err != nil {
 			return 0, err
 		}
@@ -191,30 +208,29 @@ func connect(a *Artifacts, e *emitter, p, c *graph.Op) (int64, error) {
 	}
 	whole := concatIns[0]
 	if len(concatIns) > 1 {
-		tmp := &graph.Op{Name: p.Name + "_concat", Kind: graph.KindConcat, OutputBytes: p.OutputBytes, BatchDim: true}
-		t := a.Cost.SyntheticOpTime(tmp, hub, 1)
-		cn := e.add(fmt.Sprintf("%s_concat@%d", p.Name, hub), graph.KindConcat, []int{hub}, t, p.OutputBytes, hub, nil, concatIns...)
-		cn.ShardDevs = shardDevs
+		t := a.synthTime(p.Name+"_concat", graph.KindConcat, p.OutputBytes, true, hub)
+		cn := e.add(p.Name+"_concat@"+hubName, graph.KindConcat, a.unit(hub), t, p.OutputBytes, hub, nil)
+		cn.Op.Inputs = concatIns
+		cn.ShardDevs = append(a.slab.units(len(pDevs)), pDevs...)
 		whole = cn.Op
 	}
 	shardSrc := whole
 	if len(cDevs) > 1 {
-		tmp := &graph.Op{Name: p.Name + "_split", Kind: graph.KindSplit, OutputBytes: p.OutputBytes, BatchDim: true}
-		t := a.Cost.SyntheticOpTime(tmp, hub, 1)
-		shardSrc = e.add(fmt.Sprintf("%s_split@%d", p.Name, hub), graph.KindSplit, []int{hub}, t, p.OutputBytes, hub, nil, whole).Op
+		t := a.synthTime(p.Name+"_split", graph.KindSplit, p.OutputBytes, true, hub)
+		shardSrc = e.add(p.Name+"_split@"+hubName, graph.KindSplit, a.unit(hub), t, p.OutputBytes, hub, nil, whole).Op
 	}
 	for _, dev := range cDevs {
 		if dev == hub {
-			cInst[dev].Inputs = append(cInst[dev].Inputs, shardSrc)
+			cInst[dev].link(shardSrc)
 			continue
 		}
 		bytes := int64(float64(p.OutputBytes) * cl.Fracs[dev])
-		send, err := e.addSend(fmt.Sprintf("hub%d->%s@%d", hub, c.Name, dev), hub, dev, bytes, shardSrc)
+		send, err := e.addSend("hub"+hubName+"->"+c.Name+"@"+strconv.Itoa(dev), hub, dev, bytes, shardSrc)
 		if err != nil {
 			return 0, err
 		}
 		moved += bytes
-		cInst[dev].Inputs = append(cInst[dev].Inputs, send.Op)
+		cInst[dev].link(send.Op)
 	}
 	return moved, nil
 }

@@ -1,7 +1,8 @@
 package plan
 
 import (
-	"sort"
+	"fmt"
+	"strconv"
 
 	"heterog/internal/compiler"
 	"heterog/internal/graph"
@@ -18,13 +19,12 @@ type Node struct {
 	// Send marks a transfer; SrcDev/DstDev are its endpoints. Units are
 	// assigned by Materialize so NIC-lane round-robin follows global
 	// emission order.
-	Send           bool
-	SrcDev, DstDev int
-
+	//
 	// PlanMem marks a compute instance whose activation buffer is sized by
-	// MemoryPlanning from the source op and this batch fraction.
-	PlanMem bool
-	Frac    float64
+	// MemoryPlanning from the source op and the batch fraction Frac.
+	Send, PlanMem  bool
+	SrcDev, DstDev int
+	Frac           float64
 
 	// ShardDevs records, for a Concat, the origin device of each input
 	// shard in input order; Verify checks they ascend.
@@ -41,6 +41,9 @@ func (n *Node) markCtrl(in *compiler.DistOp) {
 	}
 	n.ctrl[in] = true
 }
+
+// link appends a producer to the node's inputs.
+func (n *Node) link(in *compiler.DistOp) { n.Op.Inputs = append(n.Op.Inputs, in) }
 
 // isCtrl reports whether the edge from `in` is ordering-only.
 func (n *Node) isCtrl(in *compiler.DistOp) bool { return n.ctrl[in] }
@@ -59,35 +62,120 @@ type ctrlEdge struct {
 // partition cleanly; flattening them in (iteration, topo-position) order
 // reproduces the op creation order of the monolithic compiler, which the
 // simulator's tie-breaking and NIC-lane round-robin depend on.
+//
+// A bucket is the lowering of one logical op in one iteration, and each is
+// emitted in one go, so a bucket is a span of a single append-only node list
+// rather than a slice of its own. Rebuilding a bucket (the delta path)
+// abandons its old span and emits a new one at the end of the list.
 type program struct {
-	width   int // ops per iteration = len(Artifacts.Order)
-	buckets [][]*Node
+	width int     // ops per iteration = len(Artifacts.Order)
+	nodes []*Node // every emitted node, bucket by bucket in emission order
+	spans []span  // per bucket: its range of nodes
+	live  int     // nodes in some bucket's span
 }
 
-func newProgram(iters, width int) *program {
-	return &program{width: width, buckets: make([][]*Node, iters*width)}
+// span is a bucket's range [start, end) of program.nodes.
+type span struct{ start, end int }
+
+func newProgram(iters, width, sizeHint int) *program {
+	return &program{width: width, nodes: make([]*Node, 0, sizeHint), spans: make([]span, iters*width)}
 }
 
 func (p *program) emit(iter, slot int, n *Node) {
-	i := iter*p.width + slot
-	p.buckets[i] = append(p.buckets[i], n)
+	sp := &p.spans[iter*p.width+slot]
+	switch {
+	case sp.start == sp.end:
+		sp.start, sp.end = len(p.nodes), len(p.nodes)
+	case sp.end != len(p.nodes):
+		panic(fmt.Sprintf("plan: bucket (%d, %d) emitted in two pieces", iter, slot))
+	}
+	p.nodes = append(p.nodes, n)
+	sp.end++
+	p.live++
+}
+
+// clear empties one bucket. Its nodes stay in the list until compact.
+func (p *program) clear(iter, slot int) {
+	sp := &p.spans[iter*p.width+slot]
+	p.live -= sp.end - sp.start
+	*sp = span{}
+}
+
+// compact drops the nodes of cleared buckets once they outnumber the live
+// ones, so a long run of delta patches does not keep every node it replaced.
+func (p *program) compact() {
+	if len(p.nodes) <= 2*p.live {
+		return
+	}
+	nodes := make([]*Node, 0, p.live)
+	for i, sp := range p.spans {
+		start := len(nodes)
+		nodes = append(nodes, p.nodes[sp.start:sp.end]...)
+		p.spans[i] = span{start, len(nodes)}
+	}
+	p.nodes = nodes
 }
 
 // each visits every node in materialization order.
 func (p *program) each(f func(n *Node)) {
-	for _, b := range p.buckets {
-		for _, n := range b {
+	for _, sp := range p.spans {
+		for _, n := range p.nodes[sp.start:sp.end] {
 			f(n)
 		}
 	}
 }
 
-func (p *program) count() int {
-	c := 0
-	for _, b := range p.buckets {
-		c += len(b)
+func (p *program) count() int { return p.live }
+
+// slabChunk is how many nodes (or input and unit slots) one slab chunk holds.
+const slabChunk = 256
+
+// slab allocates the lowering's nodes, their DistOps, input lists and unit
+// lists from chunks, so lowering pays one allocation per chunk instead of
+// several per node. Chunks are never reused: a handed-out element lives as
+// long as anything references its chunk.
+type slab struct {
+	pairs []nodePair
+	ptrs  []*compiler.DistOp
+	ints  []int
+}
+
+// nodePair co-locates a node and the DistOp it wraps.
+type nodePair struct {
+	n  Node
+	op compiler.DistOp
+}
+
+// node returns a zeroed node wrapping a zeroed DistOp.
+func (s *slab) node() *Node {
+	if len(s.pairs) == cap(s.pairs) {
+		s.pairs = make([]nodePair, 0, slabChunk)
 	}
-	return c
+	s.pairs = s.pairs[:len(s.pairs)+1]
+	p := &s.pairs[len(s.pairs)-1]
+	p.n.Op = &p.op
+	return &p.n
+}
+
+// inputs returns an empty producer list with room for k entries. Appending
+// past k reallocates, as for any slice.
+func (s *slab) inputs(k int) []*compiler.DistOp {
+	if k > cap(s.ptrs)-len(s.ptrs) {
+		s.ptrs = make([]*compiler.DistOp, 0, max(slabChunk, k))
+	}
+	n := len(s.ptrs)
+	s.ptrs = s.ptrs[:n+k]
+	return s.ptrs[n : n : n+k]
+}
+
+// units returns an empty unit list with room for k entries.
+func (s *slab) units(k int) []int {
+	if k > cap(s.ints)-len(s.ints) {
+		s.ints = make([]int, 0, max(slabChunk, k))
+	}
+	n := len(s.ints)
+	s.ints = s.ints[:n+k]
+	return s.ints[n : n : n+k]
 }
 
 // emitter scopes node creation to one (iteration, topo-position) bucket —
@@ -97,16 +185,17 @@ type emitter struct {
 	iter, slot int
 }
 
-// add creates a node. Units may be nil for transfers (assigned later).
+// add creates a node. Units may be nil for transfers (assigned later). The
+// inputs are copied, so callers may pass a scratch slice.
 func (e *emitter) add(name string, kind graph.OpKind, units []int, t float64, outBytes int64, memDev int, src *graph.Op, inputs ...*compiler.DistOp) *Node {
-	op := &compiler.DistOp{
-		ID: -1, Name: name, Kind: kind, Src: src,
-		Units: units, Time: t, OutBytes: outBytes, MemDevice: memDev,
-		Inputs: inputs,
+	n := e.a.slab.node()
+	op := n.Op
+	op.ID, op.Name, op.Kind, op.Src = -1, name, kind, src
+	op.Units, op.Time, op.OutBytes, op.MemDevice = units, t, outBytes, memDev
+	if len(inputs) > 0 {
+		op.Inputs = append(e.a.slab.inputs(len(inputs)), inputs...)
 	}
-	n := &Node{Op: op}
 	e.a.prog.emit(e.iter, e.slot, n)
-	e.a.nodes[op] = n
 	return n
 }
 
@@ -124,16 +213,19 @@ func (e *emitter) addSend(name string, srcDev, dstDev int, bytes int64, inputs .
 	return n, nil
 }
 
-// sortedInstances returns instances in device order for determinism.
-func sortedInstances(m map[int]*compiler.DistOp) []*compiler.DistOp {
-	devs := make([]int, 0, len(m))
-	for d := range m {
-		devs = append(devs, d)
+// firstInstance returns the first instance of a row in device order, or nil
+// for an op with no instances.
+func firstInstance(row []*Node) *Node {
+	for _, n := range row {
+		if n != nil {
+			return n
+		}
 	}
-	sort.Ints(devs)
-	out := make([]*compiler.DistOp, 0, len(m))
-	for _, d := range devs {
-		out = append(out, m[d])
-	}
-	return out
+	return nil
+}
+
+// instName names an instance on dev in iteration iter:
+// "it<iter>/<name><suffix>@<dev>".
+func instName(iter int, name, suffix string, dev int) string {
+	return "it" + strconv.Itoa(iter) + "/" + name + suffix + "@" + strconv.Itoa(dev)
 }

@@ -10,20 +10,41 @@ import (
 )
 
 // Layout is an op's replica arrangement: the fraction of the global batch
-// each device processes. MP layouts have a single 1.0 entry.
+// each device processes. MP layouts have a single 1.0 entry. Layouts are
+// shared between ops and read-only.
 type Layout struct {
 	Fracs []float64
+	devs  []int // Devices(), computed once by newLayout
 }
 
-// Devices lists the devices holding a replica, in ascending order.
-func (l Layout) Devices() []int {
-	var ds []int
-	for d, f := range l.Fracs {
+// newLayout builds a layout and lists its devices once.
+func newLayout(fracs []float64) Layout {
+	return Layout{Fracs: fracs, devs: devicesOf(fracs)}
+}
+
+func devicesOf(fracs []float64) []int {
+	n := 0
+	for _, f := range fracs {
+		if f > 0 {
+			n++
+		}
+	}
+	ds := make([]int, 0, n)
+	for d, f := range fracs {
 		if f > 0 {
 			ds = append(ds, d)
 		}
 	}
 	return ds
+}
+
+// Devices lists the devices holding a replica, in ascending order. The
+// slice is shared; callers must not modify it.
+func (l Layout) Devices() []int {
+	if l.devs == nil {
+		return devicesOf(l.Fracs)
+	}
+	return l.devs
 }
 
 // Equal reports whether two layouts place identical fractions everywhere.
@@ -41,6 +62,12 @@ func (l Layout) Equal(o Layout) bool {
 
 // LayoutFor derives the replica layout of a decision on a cluster.
 func LayoutFor(d strategy.Decision, c *cluster.Cluster) Layout {
+	return layoutFor(d, c, nil)
+}
+
+// layoutFor is LayoutFor with the cluster's proportional replica counts
+// already computed (nil computes them when needed).
+func layoutFor(d strategy.Decision, c *cluster.Cluster, counts []int) Layout {
 	m := c.NumDevices()
 	fr := make([]float64, m)
 	switch d.Kind {
@@ -51,7 +78,9 @@ func LayoutFor(d strategy.Decision, c *cluster.Cluster) Layout {
 			fr[i] = 1 / float64(m)
 		}
 	case strategy.DPPropPS, strategy.DPPropAR:
-		counts := compiler.PropReplicaCounts(c)
+		if counts == nil {
+			counts = compiler.PropReplicaCounts(c)
+		}
 		total := 0
 		for _, k := range counts {
 			total += k
@@ -60,13 +89,31 @@ func LayoutFor(d strategy.Decision, c *cluster.Cluster) Layout {
 			fr[i] = float64(k) / float64(total)
 		}
 	}
-	return Layout{Fracs: fr}
+	return newLayout(fr)
 }
 
-func oneHot(n, i int) []float64 {
+// groupLayouts resolves the layout of every group decision of s, once per
+// distinct decision: ops share their group's layout. counts are the
+// cluster's proportional replica counts.
+func groupLayouts(s *strategy.Strategy, c *cluster.Cluster, counts []int) []Layout {
+	out := make([]Layout, len(s.Decisions))
+	seen := make(map[strategy.Decision]Layout)
+	for gi, d := range s.Decisions {
+		l, ok := seen[d]
+		if !ok {
+			l = layoutFor(d, c, counts)
+			seen[d] = l
+		}
+		out[gi] = l
+	}
+	return out
+}
+
+// oneHot is the layout holding everything on device i of n.
+func oneHot(n, i int) Layout {
 	v := make([]float64, n)
 	v[i] = 1
-	return v
+	return newLayout(v)
 }
 
 // LayoutPass validates the pipeline inputs, fixes the deterministic logical
@@ -92,14 +139,17 @@ func (LayoutPass) Run(a *Artifacts) error {
 		return err
 	}
 	a.Order = order
-	a.Layouts = make(map[int]Layout, len(order))
+	a.Layouts = make([]Layout, len(a.Graph.Ops))
+	gl := groupLayouts(a.Strategy, a.Cluster, compiler.PropReplicaCounts(a.Cluster))
 	placed := 0
 	for _, op := range order {
+		if op.ID < 0 || op.ID >= len(a.Graph.Ops) || a.Graph.Ops[op.ID] != op {
+			return fmt.Errorf("op %q has ID %d, not its index in the graph", op.Name, op.ID)
+		}
 		if op.Kind == graph.KindNoOp || op.Kind == graph.KindApplyGradient {
 			continue
 		}
-		d := compiler.EffectiveDecision(a.Strategy, op)
-		a.Layouts[op.ID] = LayoutFor(d, a.Cluster)
+		a.Layouts[op.ID] = gl[compiler.EffectiveGroup(a.Strategy, op)]
 		placed++
 	}
 	a.note(placed, 0)

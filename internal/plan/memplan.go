@@ -42,6 +42,8 @@ func optimizerSlots(g *graph.Graph) int64 {
 func persistentBytes(a *Artifacts) []int64 {
 	res := make([]int64, a.Cluster.NumDevices())
 	slots := optimizerSlots(a.Graph)
+	counts := compiler.PropReplicaCounts(a.Cluster)
+	layouts := groupLayouts(a.Strategy, a.Cluster, counts)
 	for _, op := range a.Order {
 		if op.Kind == graph.KindNoOp || op.Kind == graph.KindApplyGradient {
 			continue
@@ -49,9 +51,9 @@ func persistentBytes(a *Artifacts) []int64 {
 		if op.ParamBytes <= 0 || op.Kind.IsBackward() {
 			continue
 		}
-		d := compiler.EffectiveDecision(a.Strategy, op)
-		lay := LayoutFor(d, a.Cluster)
-		for _, dev := range lay.Devices() {
+		gi := compiler.EffectiveGroup(a.Strategy, op)
+		d := a.Strategy.Decisions[gi]
+		for _, dev := range layouts[gi].Devices() {
 			// Parameters are stored once per device; every replica tower on
 			// the device additionally materializes its own gradient tensor
 			// and optimizer slots (TF in-graph replication keeps one
@@ -59,7 +61,7 @@ func persistentBytes(a *Artifacts) []int64 {
 			// momentum accumulators).
 			towers := int64(1)
 			if d.Kind == strategy.DPPropPS || d.Kind == strategy.DPPropAR {
-				towers = int64(compiler.PropReplicaCounts(a.Cluster)[dev])
+				towers = int64(counts[dev])
 			}
 			res[dev] += op.ParamBytes * (1 + (slots-1)*towers)
 		}

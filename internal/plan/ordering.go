@@ -9,7 +9,8 @@ import (
 // OrderingPass computes execution priorities over the materialized graph:
 // upward-rank list scheduling (Part II of the paper) by default, or the
 // framework's FIFO order when Artifacts.UseFIFO is set. It is deliberately
-// the last pass and depends only on a.Dist, so one cached lowered artifact
+// the last pass and depends only on a.Dist and the topological order Verify
+// left in a.Topo, so one cached lowered artifact
 // serves both execution orders — switching orders re-runs Ordering alone.
 type OrderingPass struct{}
 
@@ -18,13 +19,13 @@ func (OrderingPass) Name() string { return "ordering" }
 
 // Run implements Pass.
 func (OrderingPass) Run(a *Artifacts) error {
-	if a.Dist == nil {
-		return fmt.Errorf("ordering requires a materialized graph (run the lowering passes first)")
+	if a.Dist == nil || a.Topo == nil {
+		return fmt.Errorf("ordering requires a verified graph (run the lowering passes first)")
 	}
 	if a.UseFIFO {
 		a.Priorities = sched.FIFO(a.Dist)
 	} else {
-		a.Priorities = sched.Ranks(a.Dist)
+		a.Priorities = sched.RanksFrom(a.Dist, a.Topo)
 	}
 	a.note(len(a.Priorities), 0)
 	return nil

@@ -5,7 +5,10 @@ package plan
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"heterog/internal/compiler"
@@ -120,5 +123,51 @@ func TestCompileAblatedDensePS(t *testing.T) {
 	}
 	if sum(dense) <= sum(base) {
 		t.Fatal("DensePS ablation must push more gradient bytes than sparse PS")
+	}
+}
+
+// TestConcurrentOrderingOfOneArtifact ranks and FIFO-orders one lowered
+// artifact from two goroutines at once, as evaluations of one cached
+// artifact under both execution orders do, and requires each to match the
+// priorities computed alone. Run under the race detector, it also shows
+// that the shared graph and topological order are only read.
+func TestConcurrentOrderingOfOneArtifact(t *testing.T) {
+	a := lowerUniform(t, strategy.DPPropPS)
+	want := make(map[bool][]float64)
+	for _, fifo := range []bool{false, true} {
+		oa := a.ForOrder(fifo)
+		if err := Order(oa); err != nil {
+			t.Fatal(err)
+		}
+		want[fifo] = oa.Priorities
+	}
+	cp := a.Dist.CriticalPathFrom(a.Topo)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, fifo := range []bool{false, true} {
+		wg.Add(1)
+		go func(fifo bool) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				oa := a.ForOrder(fifo)
+				if err := Order(oa); err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(oa.Priorities, want[fifo]) {
+					errs <- fmt.Errorf("fifo=%v: priorities differ from a lone run", fifo)
+					return
+				}
+				if got := a.Dist.CriticalPathFrom(a.Topo); got != cp {
+					errs <- fmt.Errorf("critical path %v, alone %v", got, cp)
+					return
+				}
+			}
+		}(fifo)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

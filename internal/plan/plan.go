@@ -124,14 +124,24 @@ type Artifacts struct {
 	UseFIFO bool
 
 	// Layout products.
-	Order   []*graph.Op    // logical ops in deterministic topo order
-	Layouts map[int]Layout // logical op ID -> replica layout
+	Order   []*graph.Op // logical ops in deterministic topo order
+	Layouts []Layout    // logical op ID -> replica layout (zero: not placed)
 
 	// Lowering state (internal to the lowering passes).
-	prog         *program
-	nodes        map[*compiler.DistOp]*Node
-	instances    []map[int]map[int]*compiler.DistOp // [iter][opID][device]
-	ready        []map[int]map[int]*compiler.DistOp // [iter][fwdOpID][device]
+	prog *program
+	slab slab
+	// nodeOf maps a dense dist-op ID to its plan node; built by Materialize.
+	nodeOf []*Node
+	// devs is the cluster's device count, the width of an instance row.
+	devs int
+	// instances[iter] holds one row of devs entries per logical op ID: the
+	// op's instance on each device, nil where it has no replica.
+	instances [][]*Node
+	// ready[iter] holds one row per forward op ID: the op that delivers the
+	// op's updated parameters on each device (see SetReady).
+	ready        [][]*compiler.DistOp
+	unitIDs      []int    // unitIDs[u] == u; backs the shared single-unit lists
+	synth        graph.Op // scratch op for pricing synthesized glue
 	deferredCtrl []ctrlEdge
 	psSites      map[int]*psSiteRec // applyOpID -> PS load-balancer record
 
@@ -141,6 +151,12 @@ type Artifacts struct {
 	// Materialize product: the finished distributed graph. Read-only once
 	// built — cached artifacts are shared across concurrent simulations.
 	Dist *compiler.DistGraph
+
+	// Verify product: a topological order of Dist.Ops, taken from the
+	// adjacency Verify builds for its own checks. Ordering and the
+	// evaluator's critical-path bound read it instead of rebuilding the
+	// adjacency. Read-only, like Dist.
+	Topo []*compiler.DistOp
 
 	// Ordering product.
 	Priorities []float64
@@ -158,6 +174,37 @@ func NewArtifacts(g *graph.Graph, c *cluster.Cluster, s *strategy.Strategy, cost
 	return &Artifacts{Graph: g, Cluster: c, Strategy: s, Cost: cost, Iterations: iters, Ablate: ab}
 }
 
+// inst returns op id's instance row in iteration it: its instance on each
+// device, nil where it has none.
+func (a *Artifacts) inst(it, id int) []*Node {
+	return a.instances[it][id*a.devs : (id+1)*a.devs : (id+1)*a.devs]
+}
+
+// readyRow returns forward op id's parameter-ready row in iteration it.
+func (a *Artifacts) readyRow(it, id int) []*compiler.DistOp {
+	return a.ready[it][id*a.devs : (id+1)*a.devs : (id+1)*a.devs]
+}
+
+// unit returns the one-element unit list {u}. The list is shared by every op
+// on that unit and must not be modified.
+func (a *Artifacts) unit(u int) []int { return a.unitIDs[u : u+1 : u+1] }
+
+// synthTime prices a compiler-synthesized op (Concat, Split, GradAgg) with
+// the given output on dev, at batch fraction 1.
+func (a *Artifacts) synthTime(name string, kind graph.OpKind, outBytes int64, batchDim bool, dev int) float64 {
+	a.synth = graph.Op{Name: name, Kind: kind, OutputBytes: outBytes, BatchDim: batchDim}
+	return a.Cost.SyntheticOpTime(&a.synth, dev, 1)
+}
+
+// nodeFor returns the plan node of a materialized dist op, or nil when the
+// op did not come from this pipeline run.
+func (a *Artifacts) nodeFor(op *compiler.DistOp) *Node {
+	if op.ID < 0 || op.ID >= len(a.nodeOf) || a.nodeOf[op.ID].Op != op {
+		return nil
+	}
+	return a.nodeOf[op.ID]
+}
+
 // note records a pass's op/byte counters (picked up by Pipeline.Run).
 func (a *Artifacts) note(ops int, bytes int64) {
 	a.statOps += ops
@@ -166,8 +213,8 @@ func (a *Artifacts) note(ops int, bytes int64) {
 
 // ForOrder returns a lightweight copy of lowered artifacts for running the
 // Ordering pass under a different execution order. The lowered products
-// (Dist, PersistentBytes) are shared read-only; priorities and metrics are
-// fresh, so concurrent ordering runs over one cached artifact never race.
+// (Dist, PersistentBytes, Topo) are shared read-only; priorities and metrics
+// are fresh, so concurrent ordering runs over one cached artifact never race.
 func (a *Artifacts) ForOrder(useFIFO bool) *Artifacts {
 	return &Artifacts{
 		Graph: a.Graph, Cluster: a.Cluster, Strategy: a.Strategy, Cost: a.Cost,
@@ -175,6 +222,7 @@ func (a *Artifacts) ForOrder(useFIFO bool) *Artifacts {
 		UseFIFO:         useFIFO,
 		PersistentBytes: a.PersistentBytes,
 		Dist:            a.Dist,
+		Topo:            a.Topo,
 	}
 }
 

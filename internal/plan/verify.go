@@ -54,7 +54,8 @@ func violated(inv error, format string, args ...any) error {
 // correctly typed units, Concat shard ordering, and memory accounting that
 // reconciles with an independent recomputation plus a refcount replay of the
 // simulator's allocation discipline. It is mandatory in the standard
-// pipeline and read-only, so it can be re-run on cached artifacts.
+// pipeline. It changes nothing it checks; it only replaces a.Topo, the
+// topological order it derived, which Ordering reuses.
 type VerifyPass struct{}
 
 // Name implements Pass.
@@ -62,6 +63,7 @@ func (VerifyPass) Name() string { return "verify" }
 
 // Run implements Pass.
 func (VerifyPass) Run(a *Artifacts) error {
+	a.Topo = nil
 	dg := a.Dist
 	if dg == nil {
 		return violated(ErrBadStructure, "no materialized graph to verify")
@@ -69,11 +71,14 @@ func (VerifyPass) Run(a *Artifacts) error {
 	if err := verifyStructure(dg); err != nil {
 		return err
 	}
-	// One adjacency build serves the cycle check and the refcount replay —
-	// this pass runs per evaluation, so the construction cost is hot.
-	succ := dg.Successors()
-	if err := verifyAcyclic(dg, succ); err != nil {
-		return err
+	// The adjacency is always built here from the ops being checked, never
+	// taken from an earlier run, so a graph changed after a successful
+	// Verify is checked as it is now. One topological order serves the
+	// cycle check, the refcount replay, and (kept in a.Topo) Ordering and
+	// the evaluator's critical-path bound.
+	order := dg.TopoOrder()
+	if len(order) != len(dg.Ops) {
+		return violated(ErrCycle, "%d of %d ops ordered", len(order), len(dg.Ops))
 	}
 	if err := verifyTransfers(a); err != nil {
 		return err
@@ -81,9 +86,10 @@ func (VerifyPass) Run(a *Artifacts) error {
 	if err := verifyConcats(a); err != nil {
 		return err
 	}
-	if err := verifyMemory(a, succ); err != nil {
+	if err := verifyMemory(a, order); err != nil {
 		return err
 	}
+	a.Topo = order
 	a.note(len(dg.Ops), 0)
 	return nil
 }
@@ -93,6 +99,7 @@ func (VerifyPass) Run(a *Artifacts) error {
 // non-negative durations.
 func verifyStructure(dg *compiler.DistGraph) error {
 	numUnits := dg.NumUnits()
+	numGPUs := dg.Cluster.NumDevices() // units below this index are GPUs
 	for i, op := range dg.Ops {
 		if op.ID != i {
 			return violated(ErrBadStructure, "op %q has ID %d at index %d (IDs must be dense)", op.Name, op.ID, i)
@@ -105,10 +112,10 @@ func verifyStructure(dg *compiler.DistGraph) error {
 				return violated(ErrBadStructure, "op %q: unit %d out of range", op.Name, u)
 			}
 			isComm := op.Kind.IsComm()
-			if isComm && dg.UnitKindOf(u) == compiler.UnitGPU {
+			if isComm && u < numGPUs {
 				return violated(ErrBadStructure, "comm op %q occupies GPU unit %d", op.Name, u)
 			}
-			if !isComm && dg.UnitKindOf(u) != compiler.UnitGPU {
+			if !isComm && u >= numGPUs {
 				return violated(ErrBadStructure, "compute op %q occupies non-GPU unit %d", op.Name, u)
 			}
 		}
@@ -126,36 +133,6 @@ func verifyStructure(dg *compiler.DistGraph) error {
 	return nil
 }
 
-// verifyAcyclic runs Kahn's algorithm over the dependency edges.
-func verifyAcyclic(dg *compiler.DistGraph, succ [][]*compiler.DistOp) error {
-	indeg := make([]int, len(dg.Ops))
-	for _, op := range dg.Ops {
-		indeg[op.ID] = len(op.Inputs)
-	}
-	queue := make([]*compiler.DistOp, 0, len(dg.Ops))
-	for _, op := range dg.Ops {
-		if indeg[op.ID] == 0 {
-			queue = append(queue, op)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		op := queue[0]
-		queue = queue[1:]
-		done++
-		for _, s := range succ[op.ID] {
-			indeg[s.ID]--
-			if indeg[s.ID] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if done != len(dg.Ops) {
-		return violated(ErrCycle, "%d of %d ops ordered", done, len(dg.Ops))
-	}
-	return nil
-}
-
 // verifyTransfers checks that every Send runs on comm units matching a real
 // link between its endpoints, and that every cross-device data edge is
 // carried by a transfer: a compute op may only consume tensors resident on
@@ -164,7 +141,7 @@ func verifyTransfers(a *Artifacts) error {
 	dg := a.Dist
 	c := a.Cluster
 	for _, op := range dg.Ops {
-		n := a.nodes[op]
+		n := a.nodeFor(op)
 		if n == nil {
 			return violated(ErrBadStructure, "op %q has no plan node (materialized outside the pipeline)", op.Name)
 		}
@@ -265,7 +242,7 @@ func verifyConcats(a *Artifacts) error {
 // activation buffer), then replays the simulator's refcounted allocation
 // discipline in topological order to prove transient buffers return to the
 // persistent baseline.
-func verifyMemory(a *Artifacts, succ [][]*compiler.DistOp) error {
+func verifyMemory(a *Artifacts, order []*compiler.DistOp) error {
 	dg := a.Dist
 	want := persistentBytes(a)
 	if len(want) != len(dg.PersistentBytes) {
@@ -299,7 +276,7 @@ func verifyMemory(a *Artifacts, succ [][]*compiler.DistOp) error {
 	}
 	refs := append([]int(nil), consumers...)
 	mem := make([]int64, len(dg.PersistentBytes))
-	for _, op := range dg.TopoOrderFrom(succ) {
+	for _, op := range order {
 		if op.MemDevice >= 0 && op.OutBytes > 0 {
 			mem[op.MemDevice] += op.OutBytes
 		}

@@ -91,6 +91,34 @@ func TestVerifyRejectsCycle(t *testing.T) {
 	wantViolation(t, reverify(a), ErrCycle)
 }
 
+// TestVerifyRebuildsAdjacencyAfterRanking: Verify keeps the topological
+// order it derives for Ordering to reuse, but never trusts one. A graph that
+// passed Verify and was ranked from that order, then changed, is checked as
+// it is now: a cycle closed after the first Verify is still rejected, and
+// the stale order is not left behind for Ordering.
+func TestVerifyRebuildsAdjacencyAfterRanking(t *testing.T) {
+	a := lowerUniform(t, strategy.DPEvenAR)
+	if a.Topo == nil {
+		t.Fatal("Verify left no topological order")
+	}
+	if err := Order(a.ForOrder(false)); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range a.Dist.Ops {
+		if len(op.Inputs) > 0 {
+			op.Inputs[0].Inputs = append(op.Inputs[0].Inputs, op)
+			break
+		}
+	}
+	wantViolation(t, reverify(a), ErrCycle)
+	if a.Topo != nil {
+		t.Fatal("a rejected graph kept the order of an earlier Verify")
+	}
+	if err := Order(a.ForOrder(false)); err == nil {
+		t.Fatal("Ordering ran on a graph Verify rejected")
+	}
+}
+
 func TestVerifyRejectsDenseIDCorruption(t *testing.T) {
 	a := lowerUniform(t, strategy.DPEvenAR)
 	a.Dist.Ops[7].ID = 99999
@@ -104,14 +132,14 @@ func TestVerifyRejectsOrphanReceive(t *testing.T) {
 	tampered := false
 	for _, op := range a.Dist.Ops {
 		for i, in := range op.Inputs {
-			n := a.nodes[in]
+			n := a.nodeFor(in)
 			if n == nil || !n.Send || len(in.Inputs) == 0 {
 				continue
 			}
 			prod := in.Inputs[0]
-			cn := a.nodes[op]
+			cn := a.nodeFor(op)
 			need, check := consumeDevice(cn)
-			if pn := a.nodes[prod]; pn != nil && !pn.Send && check && prod.MemDevice >= 0 && prod.MemDevice != need {
+			if pn := a.nodeFor(prod); pn != nil && !pn.Send && check && prod.MemDevice >= 0 && prod.MemDevice != need {
 				op.Inputs[i] = prod
 				tampered = true
 			}

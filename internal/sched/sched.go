@@ -15,19 +15,26 @@ import (
 //	rank(o) = p(o) + max_{s in succ(o)} rank(s)
 //
 // indexed by DistOp.ID. Higher rank means schedule earlier.
-func Ranks(dg *compiler.DistGraph) []float64 {
-	succ := dg.Successors()
-	order := dg.TopoOrderFrom(succ)
-	ranks := make([]float64, len(order))
+func Ranks(dg *compiler.DistGraph) []float64 { return RanksFrom(dg, dg.TopoOrder()) }
+
+// RanksFrom is Ranks over a topological order of dg.Ops the caller already
+// built (the planning pipeline's Verify pass keeps one). Walking the order
+// backwards, each op's rank is final once its successors are done, and it is
+// pushed to its inputs; the max over a successor set does not depend on the
+// visiting order, so the ranks equal the successor-list definition exactly.
+func RanksFrom(dg *compiler.DistGraph, order []*compiler.DistOp) []float64 {
+	ranks := make([]float64, len(dg.Ops))
+	// succMax[id] is the largest rank among op id's successors seen so far.
+	succMax := make([]float64, len(dg.Ops))
 	for i := len(order) - 1; i >= 0; i-- {
 		op := order[i]
-		best := 0.0
-		for _, s := range succ[op.ID] {
-			if r := ranks[s.ID]; r > best {
-				best = r
+		r := op.Time + succMax[op.ID]
+		ranks[op.ID] = r
+		for _, in := range op.Inputs {
+			if r > succMax[in.ID] {
+				succMax[in.ID] = r
 			}
 		}
-		ranks[op.ID] = op.Time + best
 	}
 	return ranks
 }

@@ -1,12 +1,12 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -151,39 +151,67 @@ func (f *File) loadSnapshot() error {
 	return nil
 }
 
+// replayJournal folds every complete journal line into the mirror, in order.
+// Decoding the lines is most of a restart's work and each line decodes on its
+// own, so the lines are decoded on every core and then applied in journal
+// order.
 func (f *File) replayJournal() error {
-	file, err := os.Open(filepath.Join(f.dir, journalName))
+	raw, err := os.ReadFile(filepath.Join(f.dir, journalName))
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: open journal: %w", err)
+		return fmt.Errorf("store: read journal: %w", err)
 	}
-	defer file.Close()
-	sc := bufio.NewScanner(file)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
+	lines := journalLines(raw)
+	recs := make([]journalRec, len(lines))
+	errs := make([]error, len(lines))
+	workers := min(runtime.GOMAXPROCS(0), len(lines))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(lines); i += workers {
+				if len(lines[i]) > 0 {
+					errs[i] = json.Unmarshal(lines[i], &recs[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, line := range lines {
+		if len(line) == 0 {
 			continue
 		}
-		var rec journalRec
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A torn write can only be the final line; peek whether more
-			// complete lines follow to distinguish crash tail from rot.
-			if sc.Scan() {
-				return fmt.Errorf("store: journal line %d corrupt mid-file: %w", line, err)
+		if errs[i] != nil {
+			// A torn write can only be the final line; whether more lines
+			// follow distinguishes a crash tail from rot.
+			if i < len(lines)-1 {
+				return fmt.Errorf("store: journal line %d corrupt mid-file: %w", i+1, errs[i])
 			}
 			return nil // torn tail from a crash mid-append: drop it
 		}
-		f.applyLocked(rec)
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("store: scan journal: %w", err)
+		f.applyLocked(recs[i])
 	}
 	return nil
+}
+
+// journalLines splits a journal into lines the way bufio.ScanLines does (a
+// final line needs no newline, a trailing \r is dropped), with surrounding
+// space trimmed. Blank lines stay, empty, so line numbers stay true.
+func journalLines(raw []byte) [][]byte {
+	var lines [][]byte
+	for len(raw) > 0 {
+		line := raw
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			line, raw = raw[:i], raw[i+1:]
+		} else {
+			raw = nil
+		}
+		lines = append(lines, bytes.TrimSpace(line))
+	}
+	return lines
 }
 
 // applyLocked folds one journal record into the resident mirror.

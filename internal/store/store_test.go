@@ -164,6 +164,55 @@ func TestFileReopen(t *testing.T) {
 	}
 }
 
+// TestFileReplayKeepsJournalOrder: a restart after a kill replays an
+// uncompacted journal whose lines are decoded on several cores. The replayed
+// state must be the one the writes left, in journal order: the last record of
+// each job wins and every event log comes back dense and in order.
+func TestFileReplayKeepsJournalOrder(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []string{"queued", "running", "done"}
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("job-%d", i%8)
+		if err := st.PutJob(JobRecord{ID: id, State: states[(i/8)%3]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendEvent(id, EventRecord{Seq: uint64(i/8 + 1), Payload: raw(t, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No Close: a killed server leaves the journal uncompacted.
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	snap, err := st2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != 8 {
+		t.Fatalf("%d jobs after replay, want 8", len(snap.Jobs))
+	}
+	for k, rec := range snap.Jobs {
+		if want := fmt.Sprintf("job-%d", k); rec.ID != want || rec.State != "running" {
+			t.Fatalf("job %d after replay = %s %s, want %s running (the last write)", k, rec.ID, rec.State, want)
+		}
+		evs := snap.Events[rec.ID]
+		if len(evs) != 5 {
+			t.Fatalf("%s has %d events after replay, want 5", rec.ID, len(evs))
+		}
+		for n, ev := range evs {
+			if ev.Seq != uint64(n+1) || string(ev.Payload) != fmt.Sprint(n*8+k) {
+				t.Fatalf("%s event %d = seq %d payload %s, want seq %d payload %d", rec.ID, n, ev.Seq, ev.Payload, n+1, n*8+k)
+			}
+		}
+	}
+}
+
 // TestFileTornTail simulates a crash mid-append: a truncated final journal
 // line must be dropped on replay, everything before it preserved, and the
 // reopened store must keep accepting writes.
