@@ -44,12 +44,15 @@ race:
 	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/compiler/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sched/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/... ./internal/nn/... ./internal/gnn/...
 
 # bench regenerates the evaluation fast-path numbers recorded in
-# BENCH_eval.json. The mutation-walk pair runs separately at a fixed
-# iteration count: one op is one proposal of the walk
-# TestIncrementalSpeedupGate gates, and 100 of them (the gate's count)
-# amortize the one-off delta-state build the way the gate does.
+# BENCH_eval.json. The policy step and the simulator run at one and two
+# procs: the policy kernels split their rows into bands across cores. The
+# mutation-walk pair runs separately at a fixed iteration count: one op is
+# one proposal of the walk TestIncrementalSpeedupGate gates, and 100 of
+# them (the gate's count) amortize the one-off delta-state build the way
+# the gate does.
 bench:
-	$(GO) test -run '^$$' -bench 'EvaluateCold|EvaluateCached|EvaluateBounded|RunEpisodesSequential|RunEpisodesParallel|RunEpisodes64$$|RunEpisodes64Pruned|SimReuse|SimPooledRun' -benchtime 2s -benchmem .
+	$(GO) test -run '^$$' -bench 'EvaluateCold|EvaluateCached|EvaluateBounded|RunEpisodesSequential|RunEpisodesParallel|RunEpisodes64$$|RunEpisodes64Pruned|SimPooledRun' -benchtime 2s -benchmem .
+	$(GO) test -run '^$$' -bench 'PolicyStep|SimulatorBert|SimReuse' -cpu 1,2 -benchtime 2s -benchmem .
 	$(GO) test -run '^$$' -bench 'RunEpisodes64Incremental|RunEpisodes64MutationFull' -benchtime 100x -benchmem .
 
 # bench-smoke runs the CI speedup gates in bench_gate_test.go:

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -87,6 +88,15 @@ func (m *Matrix) Randomize(rng *rand.Rand) {
 // bands across cores (parallelRows), so every dst element is still
 // computed by one goroutine in that order.
 
+// On amd64 CPUs with AVX2 (useSIMD), the three kernels hand row pairs to
+// the assembly kernel mulAdd2, which keeps that order too: each product is
+// one VMULPD lane and each sum one VADDPD lane, never a fused multiply-add,
+// so every product and every sum rounds once, as in the Go loops, and the
+// output is bit-identical. matmulTSerial first transposes its right operand
+// into a recycled buffer, so all three feed mulAdd2 a right operand read
+// along rows. Elsewhere, and for right operands under four columns, the Go
+// loops run.
+
 // checkMatMul panics unless dst (n x p) can hold the product of an n x k
 // left operand and a k x p right operand.
 func checkMatMul(op string, dst *Matrix, n, k1, k2, p int) {
@@ -107,6 +117,72 @@ func dotTail(s float64, a []float64, as int, b []float64, bs, k int) float64 {
 	return s
 }
 
+// mulAddSIMD computes rows [lo, hi) of dst += A·B with mulAdd2, where dst
+// rows are p elements apart, A(i, kk) = a[i*ars+kk*aks] and B(kk, j) =
+// b[kk*p+j] for kk < k. mulAdd2 takes row pairs over the columns up to the
+// last multiple of four; dotTail takes the columns left over and an odd
+// last row.
+func mulAddSIMD(dst, a []float64, ars, aks int, b []float64, lo, hi, k, p int) {
+	if lo >= hi || k == 0 {
+		return
+	}
+	// mulAdd2 reads and writes through raw pointers: check the last element
+	// it touches in each operand.
+	_, _, _ = dst[hi*p-1], a[(hi-1)*ars+(k-1)*aks], b[k*p-1]
+	w := p &^ 3
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		mulAdd2(&dst[i*p], p, &a[i*ars], ars, aks, &b[0], p, k, w)
+		for j := w; j < p; j++ {
+			dst[i*p+j] = dotTail(dst[i*p+j], a[i*ars:], aks, b[j:], p, k)
+			dst[(i+1)*p+j] = dotTail(dst[(i+1)*p+j], a[(i+1)*ars:], aks, b[j:], p, k)
+		}
+	}
+	if i < hi {
+		for j := 0; j < p; j++ {
+			dst[i*p+j] = dotTail(dst[i*p+j], a[i*ars:], aks, b[j:], p, k)
+		}
+	}
+}
+
+// transposeBufs recycles the buffers matmulTSerial transposes its right
+// operand into. It is not a sync.Pool because the race detector makes a
+// Pool drop a quarter of what is put back, and the serial kernels must not
+// allocate.
+var transposeBufs struct {
+	sync.Mutex
+	free [][]float64
+}
+
+// transposed returns b's transpose in a recycled buffer; hand the buffer
+// back with releaseTransposed.
+func transposed(b *Matrix) []float64 {
+	transposeBufs.Lock()
+	var buf []float64
+	if l := len(transposeBufs.free); l > 0 {
+		buf = transposeBufs.free[l-1]
+		transposeBufs.free = transposeBufs.free[:l-1]
+	}
+	transposeBufs.Unlock()
+	if cap(buf) < len(b.Data) {
+		buf = make([]float64, len(b.Data))
+	}
+	buf = buf[:len(b.Data)]
+	r, c := b.Rows, b.Cols
+	for i := 0; i < r; i++ {
+		for j, v := range b.Data[i*c : (i+1)*c] {
+			buf[j*r+i] = v
+		}
+	}
+	return buf
+}
+
+func releaseTransposed(buf []float64) {
+	transposeBufs.Lock()
+	transposeBufs.free = append(transposeBufs.free, buf)
+	transposeBufs.Unlock()
+}
+
 // matmulInto computes dst += a·b, in row bands across cores.
 func matmulInto(dst, a, b *Matrix) {
 	n := a.Rows
@@ -125,6 +201,10 @@ func matmulInto(dst, a, b *Matrix) {
 func matmulSerial(dst, a, b *Matrix) {
 	checkMatMul("matmul", dst, a.Rows, a.Cols, b.Rows, b.Cols)
 	n, k, p := a.Rows, a.Cols, b.Cols
+	if useSIMD && p >= 4 {
+		mulAddSIMD(dst.Data, a.Data, k, 1, b.Data, 0, n, k, p)
+		return
+	}
 	bd := b.Data
 	i := 0
 	for ; i+2 <= n; i += 2 {
@@ -195,6 +275,12 @@ func matmulTInto(dst, a, b *Matrix) {
 func matmulTSerial(dst, a, b *Matrix) {
 	checkMatMul("matmulT", dst, a.Rows, a.Cols, b.Cols, b.Rows)
 	n, k, p := a.Rows, a.Cols, b.Rows
+	if useSIMD && p >= 4 {
+		bt := transposed(b)
+		mulAddSIMD(dst.Data, a.Data, k, 1, bt, 0, n, k, p)
+		releaseTransposed(bt)
+		return
+	}
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		a0 := a.Data[i*k : (i+1)*k]
@@ -271,6 +357,12 @@ func matmulTAInto(dst, a, b *Matrix) {
 func matmulTARows(dst, a, b *Matrix, lo, hi int) {
 	n, k, p := a.Cols, a.Rows, b.Cols
 	ad, bd := a.Data, b.Data
+	if useSIMD && p >= 4 {
+		for k0 := 0; k0 < k; k0 += tileK {
+			mulAddSIMD(dst.Data, ad[k0*n:], 1, n, bd[k0*p:], lo, hi, min(tileK, k-k0), p)
+		}
+		return
+	}
 	for k0 := 0; k0 < k; k0 += tileK {
 		kt := min(tileK, k-k0)
 		i := lo

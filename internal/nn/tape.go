@@ -100,7 +100,12 @@ func (t *Tape) Reset() {
 }
 
 // alloc returns a zeroed rows x cols matrix from the arena.
-func (t *Tape) alloc(rows, cols int) *Matrix {
+func (t *Tape) alloc(rows, cols int) *Matrix { return t.take(rows, cols, true) }
+
+// take returns a rows x cols matrix from the arena. A recycled one is
+// zeroed only when zero is set; otherwise it holds stale values, and the
+// caller must overwrite every element.
+func (t *Tape) take(rows, cols int, zero bool) *Matrix {
 	size := rows * cols
 	var m *Matrix
 	if l := t.free[size]; len(l) > 0 {
@@ -108,7 +113,9 @@ func (t *Tape) alloc(rows, cols int) *Matrix {
 		l[len(l)-1] = nil
 		t.free[size] = l[:len(l)-1]
 		m.Rows, m.Cols = rows, cols
-		clear(m.Data)
+		if zero {
+			clear(m.Data)
+		}
 	} else {
 		m = NewMatrix(rows, cols)
 	}
@@ -119,9 +126,10 @@ func (t *Tape) alloc(rows, cols int) *Matrix {
 // scratch returns a zeroed float buffer of length n from the arena.
 func (t *Tape) scratch(n int) []float64 { return t.alloc(1, n).Data }
 
-// clone returns an arena copy of m.
+// clone returns an arena copy of m. The copy overwrites every element, so
+// the buffer is not zeroed first.
 func (t *Tape) clone(m *Matrix) *Matrix {
-	out := t.alloc(m.Rows, m.Cols)
+	out := t.take(m.Rows, m.Cols, false)
 	copy(out.Data, m.Data)
 	return out
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"heterog/internal/compiler"
@@ -198,6 +199,22 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
+// growRows returns rows resized to n empty rows, keeping the capacity of
+// every row it has ever held.
+func growRows[R ~[]E, E any](rows []R, n int) []R {
+	if cap(rows) < n {
+		nr := make([]R, n)
+		copy(nr, rows[:cap(rows)])
+		rows = nr
+	} else {
+		rows = rows[:n]
+	}
+	for i := range rows {
+		rows[i] = rows[i][:0]
+	}
+	return rows
+}
+
 // Simulator is a reusable discrete-event simulator. All scratch state — ready
 // queues, event heap, dependency counters, refcounts, memory trackers and the
 // Result buffers — is recycled across Run calls, so simulating graphs of the
@@ -217,6 +234,13 @@ type Simulator struct {
 	items   []opItem
 	events  eventHeap
 	skipped []*opItem
+	// pending marks, one bit per unit, the units that may start something
+	// at the next dispatch: they got a push, were freed, or skipped an
+	// entry blocked by a unit since freed. waiters[b] lists the units that
+	// skipped an entry because unit b was busy. Every other unit would
+	// start nothing, so dispatch visits only the pending ones.
+	pending []uint64
+	waiters [][]int32
 	// CSR successor lists rebuilt per run into reusable buffers.
 	succOff []int
 	succ    []*compiler.DistOp
@@ -252,16 +276,21 @@ func (s *Simulator) enqueue(op *compiler.DistOp) {
 	s.seq++
 	for _, u := range op.Units {
 		s.queues[u].push(it)
+		s.mark(u)
 	}
 }
 
-func (s *Simulator) canStart(op *compiler.DistOp) bool {
+// mark adds unit u to the units the next dispatch visits.
+func (s *Simulator) mark(u int) { s.pending[u>>6] |= 1 << (u & 63) }
+
+// blocker returns a busy unit op needs, or -1 when all of them are idle.
+func (s *Simulator) blocker(op *compiler.DistOp) int {
 	for _, u := range op.Units {
 		if s.busy[u] {
-			return false
+			return u
 		}
 	}
-	return true
+	return -1
 }
 
 func (s *Simulator) start(it *opItem, now float64) {
@@ -278,7 +307,8 @@ func (s *Simulator) start(it *opItem, now float64) {
 }
 
 // dispatchUnit starts ops from one unit's queue while possible. Blocked
-// multi-unit heads are skipped (bounded) and retained.
+// multi-unit heads are skipped (bounded) and retained; u waits on a busy
+// unit of each, so that unit's release brings u back to dispatch.
 func (s *Simulator) dispatchUnit(u int, now float64) {
 	if s.busy[u] {
 		return
@@ -289,13 +319,15 @@ func (s *Simulator) dispatchUnit(u int, now float64) {
 		if it.started {
 			continue
 		}
-		if s.canStart(it.op) {
+		b := s.blocker(it.op)
+		if b < 0 {
 			s.start(it, now)
 			if s.busy[u] {
 				break
 			}
 			continue
 		}
+		s.waiters[b] = append(s.waiters[b], int32(u))
 		s.skipped = append(s.skipped, it)
 	}
 	for _, it := range s.skipped {
@@ -303,9 +335,18 @@ func (s *Simulator) dispatchUnit(u int, now float64) {
 	}
 }
 
-func (s *Simulator) dispatchAll(now float64) {
-	for u := range s.queues {
-		s.dispatchUnit(u, now)
+// dispatch runs dispatchUnit on every pending unit in ascending index
+// order and clears them. A unit that is not pending is busy or would skip
+// only entries that are still blocked, so this starts exactly what calling
+// dispatchUnit on every unit would. Dispatching marks no unit pending: it
+// frees and pushes nothing.
+func (s *Simulator) dispatch(now float64) {
+	for w, word := range s.pending {
+		s.pending[w] = 0
+		for word != 0 {
+			s.dispatchUnit(w<<6|bits.TrailingZeros64(word), now)
+			word &= word - 1
+		}
 	}
 }
 
@@ -313,6 +354,11 @@ func (s *Simulator) complete(op *compiler.DistOp, now float64) {
 	s.res.Finishes[op.ID] = now
 	for _, u := range op.Units {
 		s.busy[u] = false
+		s.mark(u)
+		for _, w := range s.waiters[u] {
+			s.mark(int(w))
+		}
+		s.waiters[u] = s.waiters[u][:0]
 	}
 	s.done++
 	for _, in := range op.Inputs {
@@ -386,17 +432,10 @@ func (s *Simulator) reset(dg *compiler.DistGraph, priorities []float64) {
 	copy(s.mem, dg.PersistentBytes)
 	copy(s.res.PeakMem, s.mem)
 
-	if cap(s.queues) < numUnits {
-		nq := make([]readyQueue, numUnits)
-		copy(nq, s.queues[:cap(s.queues)])
-		s.queues = nq
-	} else {
-		s.queues = s.queues[:numUnits]
-	}
-	for u := range s.queues {
-		s.queues[u] = s.queues[u][:0]
-	}
+	s.queues = growRows(s.queues, numUnits)
+	s.waiters = growRows(s.waiters, numUnits)
 	s.busy = grow(s.busy, numUnits)
+	s.pending = grow(s.pending, (numUnits+63)/64)
 	s.items = grow(s.items, n)
 	s.events = s.events[:0]
 }
@@ -434,7 +473,7 @@ func (s *Simulator) RunBounded(dg *compiler.DistGraph, priorities []float64, bou
 		}
 	}
 	now := 0.0
-	s.dispatchAll(now)
+	s.dispatch(now)
 	for len(s.events) > 0 {
 		ev := s.events.pop()
 		now = ev.time
@@ -448,7 +487,7 @@ func (s *Simulator) RunBounded(dg *compiler.DistGraph, priorities []float64, bou
 			ev2 := s.events.pop()
 			s.complete(ev2.op, now)
 		}
-		s.dispatchAll(now)
+		s.dispatch(now)
 	}
 	if s.done != n {
 		return nil, fmt.Errorf("deadlock: executed %d of %d ops (cyclic or unreachable deps)", s.done, n)

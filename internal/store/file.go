@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,25 +19,43 @@ import (
 //
 // Layout under the root directory:
 //
-//	journal.jsonl    one JSON record per line, appended and fsynced per write
-//	snapshot.json    compacted Snapshot, written via tmp + fsync + rename
+//	journal.jsonl    one record per line, appended and fsynced per write
+//	snapshot.json    the compacted state as journal lines (one record per
+//	                 job, event and lease), written via tmp + fsync + rename
 //	artifacts/<key>  one warm-artifact blob per workload key (tmp + rename)
+//
+// A line is a JSON record; a job record with a report is followed by a tab
+// and the report, whose length and CRC-32C the record carries (appendRecord).
+// Open replays the snapshot and then the journal through one parallel line
+// decoder (replayLines), which copies reports without scanning them as JSON.
+// Lines without a framed report, as every line was written before, decode
+// the same way. A version-1 snapshot.json, one JSON object written by
+// earlier releases, still opens; the next compaction replaces it.
 //
 // Crash-safety argument:
 //
 //   - Every journal append is a single line written and fsynced before the
 //     call returns, so an acknowledged write survives a kill. A crash mid-
 //     append can only leave a partial *final* line; Open tolerates exactly
-//     that (the torn tail is dropped, every complete line is replayed).
+//     that (the torn tail is dropped, every complete line is replayed). A
+//     line torn inside its report fails the report's length check, and a
+//     report corrupted in place fails its CRC, so neither is taken for a
+//     whole record.
 //   - Compaction writes snapshot.json.tmp, fsyncs it, renames it over
-//     snapshot.json (atomic on POSIX), fsyncs the directory, and only then
-//     truncates (and fsyncs) the journal — a crash between any two steps
-//     leaves either the old snapshot + full journal or the new snapshot +
-//     (possibly still full) journal, both of which replay to the same state
-//     because every journal record is an idempotent upsert over the
-//     snapshot: jobs and leases are keyed last-write-wins, and an "ev"
-//     record is skipped when the job's dense 1-based log already covers its
-//     Seq (see applyLocked).
+//     snapshot.json (atomic on POSIX, whichever version the old file was),
+//     fsyncs the directory, and only then truncates (and fsyncs) the
+//     journal. A crash before the rename leaves the old snapshot and the
+//     full journal, and Open never reads the .tmp file. A crash after it
+//     leaves the new snapshot and a possibly still full journal. Both replay
+//     to the same state because every journal record is an idempotent upsert
+//     over the snapshot: jobs and leases are keyed last-write-wins, and an
+//     "ev" record is skipped when the job's dense 1-based log already covers
+//     its Seq (see applyLocked).
+//   - The snapshot's own lines rebuild the mirror exactly: they are the
+//     mirror's jobs in submission order, each job's events in log order and
+//     the leases, so applying them to an empty mirror accepts every one.
+//     The snapshot is never torn (it is renamed into place whole), so any
+//     line that does not decode is an error, not a crash tail.
 //   - Artifacts are written to <key>.tmp, fsynced and renamed, so a reader
 //     (local or a peer fetch) never observes a half-written blob.
 //
@@ -78,15 +98,76 @@ type journalRec struct {
 	JobV  *JobRecord   `json:"job_v,omitempty"`
 	EvV   *EventRecord `json:"ev_v,omitempty"`
 	LeasV *LeaseRecord `json:"lease_v,omitempty"`
+	// ReportLen and ReportCRC frame the report of a "job" record, which
+	// follows the JSON on its line (see appendRecord).
+	ReportLen int    `json:"report_len,omitempty"`
+	ReportCRC uint32 `json:"report_crc,omitempty"`
 }
 
-// snapshotFile is the on-disk snapshot schema.
-type snapshotFile struct {
+// castagnoli is the CRC-32C table, computed in hardware on amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// errReportFrame reports a framed report whose length or CRC does not match
+// its record: a torn write, or corruption.
+var errReportFrame = errors.New("report does not match its length and CRC")
+
+// appendRecord appends rec to buf as one line. A job's report, most of a
+// journal's bytes, is written after the record's JSON and a tab, compacted,
+// with its length and CRC-32C in the record, so replay checks and copies it
+// without scanning it as JSON. Compact JSON holds no raw tab or newline, so
+// neither the record nor the report can end the line or the record early.
+func appendRecord(buf []byte, rec journalRec) ([]byte, error) {
+	var report bytes.Buffer
+	if rec.JobV != nil && len(rec.JobV.Report) > 0 {
+		if err := json.Compact(&report, rec.JobV.Report); err != nil {
+			return nil, fmt.Errorf("store: encode report of %s: %w", rec.JobV.ID, err)
+		}
+		job := *rec.JobV
+		job.Report = nil
+		rec.JobV = &job
+		rec.ReportLen, rec.ReportCRC = report.Len(), crc32.Checksum(report.Bytes(), castagnoli)
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode record: %w", err)
+	}
+	buf = append(buf, line...)
+	if report.Len() > 0 {
+		buf = append(append(buf, '\t'), report.Bytes()...)
+	}
+	return append(buf, '\n'), nil
+}
+
+// decodeRecord decodes one line appendRecord wrote, or one without a
+// framed report, which is how every line was written before reports were
+// framed.
+func decodeRecord(line []byte, rec *journalRec) error {
+	head, report, framed := bytes.Cut(line, []byte{'\t'})
+	if err := json.Unmarshal(head, rec); err != nil {
+		return err
+	}
+	if !framed && rec.ReportLen == 0 {
+		return nil
+	}
+	if rec.JobV == nil || rec.ReportLen != len(report) || crc32.Checksum(report, castagnoli) != rec.ReportCRC {
+		return errReportFrame
+	}
+	rec.JobV.Report = bytes.Clone(report)
+	return nil
+}
+
+// snapshotV1 is the version-1 snapshot schema: the whole state as one JSON
+// object. Open still reads it; compaction writes journal lines instead.
+type snapshotV1 struct {
 	Version int                      `json:"version"`
 	Jobs    []JobRecord              `json:"jobs"`
 	Events  map[string][]EventRecord `json:"events"`
 	Leases  map[string]LeaseRecord   `json:"leases"`
 }
+
+// snapshotV1Prefix starts every version-1 snapshot, whose first field is
+// its version; a snapshot in journal lines starts with a record's tag.
+var snapshotV1Prefix = []byte(`{"version":`)
 
 // Open opens (creating if needed) a file store rooted at dir, replaying any
 // existing snapshot and journal into the resident mirror. A torn final
@@ -131,7 +212,10 @@ func (f *File) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("store: read snapshot: %w", err)
 	}
-	var snap snapshotFile
+	if !bytes.HasPrefix(raw, snapshotV1Prefix) {
+		return f.replayLines(raw, "snapshot", false)
+	}
+	var snap snapshotV1
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("store: decode snapshot: %w", err)
 	}
@@ -152,9 +236,6 @@ func (f *File) loadSnapshot() error {
 }
 
 // replayJournal folds every complete journal line into the mirror, in order.
-// Decoding the lines is most of a restart's work and each line decodes on its
-// own, so the lines are decoded on every core and then applied in journal
-// order.
 func (f *File) replayJournal() error {
 	raw, err := os.ReadFile(filepath.Join(f.dir, journalName))
 	if os.IsNotExist(err) {
@@ -163,6 +244,16 @@ func (f *File) replayJournal() error {
 	if err != nil {
 		return fmt.Errorf("store: read journal: %w", err)
 	}
+	return f.replayLines(raw, "journal", true)
+}
+
+// replayLines folds the records of raw, a snapshot or a journal (what names
+// it in errors), into the mirror in line order. Decoding the lines is most
+// of a restart's work and each line decodes on its own, so the lines are
+// decoded on every core and then applied in order. A line that does not
+// decode is an error, except the final line of a journal (tornTail): that
+// is the torn write of a crash mid-append, and it is dropped.
+func (f *File) replayLines(raw []byte, what string, tornTail bool) error {
 	lines := journalLines(raw)
 	recs := make([]journalRec, len(lines))
 	errs := make([]error, len(lines))
@@ -174,7 +265,7 @@ func (f *File) replayJournal() error {
 			defer wg.Done()
 			for i := w; i < len(lines); i += workers {
 				if len(lines[i]) > 0 {
-					errs[i] = json.Unmarshal(lines[i], &recs[i])
+					errs[i] = decodeRecord(lines[i], &recs[i])
 				}
 			}
 		}(w)
@@ -187,8 +278,8 @@ func (f *File) replayJournal() error {
 		if errs[i] != nil {
 			// A torn write can only be the final line; whether more lines
 			// follow distinguishes a crash tail from rot.
-			if i < len(lines)-1 {
-				return fmt.Errorf("store: journal line %d corrupt mid-file: %w", i+1, errs[i])
+			if !tornTail || i < len(lines)-1 {
+				return fmt.Errorf("store: %s line %d corrupt mid-file: %w", what, i+1, errs[i])
 			}
 			return nil // torn tail from a crash mid-append: drop it
 		}
@@ -251,11 +342,10 @@ func (f *File) appendLocked(rec journalRec) error {
 	if f.closed {
 		return ErrClosed
 	}
-	raw, err := json.Marshal(rec)
+	raw, err := appendRecord(nil, rec)
 	if err != nil {
-		return fmt.Errorf("store: encode journal record: %w", err)
+		return err
 	}
-	raw = append(raw, '\n')
 	if _, err := f.journal.Write(raw); err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
 	}
@@ -279,16 +369,34 @@ func (f *File) compactThreshold() int64 {
 	return DefaultCompactBytes
 }
 
-// compactLocked writes the resident mirror as a fresh snapshot (tmp + fsync
-// + atomic rename + dir fsync) and truncates the journal. Callers hold f.mu.
+// compactLocked writes the resident mirror as a fresh snapshot in journal
+// lines (tmp + fsync + atomic rename + dir fsync) and truncates the journal.
+// Callers hold f.mu.
 func (f *File) compactLocked() error {
-	snap := snapshotFile{Version: 1, Events: f.events, Leases: f.leases}
-	for _, id := range f.order {
-		snap.Jobs = append(snap.Jobs, f.jobs[id])
+	var raw []byte
+	put := func(rec journalRec) (err error) {
+		raw, err = appendRecord(raw, rec)
+		return err
 	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
+	for _, id := range f.order {
+		job := f.jobs[id]
+		if err := put(journalRec{T: "job", JobV: &job}); err != nil {
+			return err
+		}
+	}
+	for _, id := range sortedKeys(f.events) {
+		evs := f.events[id]
+		for i := range evs {
+			if err := put(journalRec{T: "ev", Job: id, EvV: &evs[i]}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, id := range sortedKeys(f.leases) {
+		lease := f.leases[id]
+		if err := put(journalRec{T: "lease", LeasV: &lease}); err != nil {
+			return err
+		}
 	}
 	if err := atomicWrite(filepath.Join(f.dir, snapshotName), raw); err != nil {
 		return err
@@ -311,6 +419,16 @@ func (f *File) compactLocked() error {
 	}
 	f.jsize = 0
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // atomicWrite writes data to path via tmp + fsync + rename.

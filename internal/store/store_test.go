@@ -437,3 +437,217 @@ func TestValidateEventLog(t *testing.T) {
 		t.Fatalf("empty log rejected: %v", err)
 	}
 }
+
+// writeV1Store lays out a store as a release with version-1 snapshots left
+// it: a one-object snapshot.json holding two jobs, job-a's first two events
+// and its lease, and a journal that repeats job-a's second event (the
+// replay the rename-to-truncate window leaves), adds its third and a third
+// job. It returns the state Open must rebuild from that directory.
+func writeV1Store(t *testing.T, dir string) *Snapshot {
+	t.Helper()
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	jobA := JobRecord{ID: "job-a", State: "done", Model: "vgg19", SubmittedAt: at, Report: raw(t, map[string]int{"iter_us": 41})}
+	jobB := JobRecord{ID: "job-b", State: "running", Model: "bert24", SubmittedAt: at}
+	jobC := JobRecord{ID: "job-c", State: "queued", Model: "resnet200", SubmittedAt: at}
+	ev := func(seq uint64) EventRecord {
+		return EventRecord{Seq: seq, Payload: raw(t, map[string]uint64{"seq": seq})}
+	}
+	lease := LeaseRecord{Job: "job-a", Lease: "lease-1", Devices: 4, Seq: 2}
+	v1, err := json.Marshal(snapshotV1{
+		Version: 1,
+		Jobs:    []JobRecord{jobA, jobB},
+		Events:  map[string][]EventRecord{"job-a": {ev(1), ev(2)}},
+		Leases:  map[string]LeaseRecord{"job-a": lease},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, rec := range []journalRec{
+		{T: "ev", Job: "job-a", EvV: &EventRecord{Seq: 2, Payload: ev(2).Payload}},
+		{T: "ev", Job: "job-a", EvV: &EventRecord{Seq: 3, Payload: ev(3).Payload}},
+		{T: "job", JobV: &jobC},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return &Snapshot{
+		Jobs:   []JobRecord{jobA, jobB, jobC},
+		Events: map[string][]EventRecord{"job-a": {ev(1), ev(2), ev(3)}},
+		Leases: map[string]LeaseRecord{"job-a": lease},
+	}
+}
+
+// loadDir opens dir, checks its state is want, and closes it (compacting).
+func loadDir(t *testing.T, dir, when string, want *Snapshot) {
+	t.Helper()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("%s: Open: %v", when, err)
+	}
+	got, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, wantJSON := raw(t, got), raw(t, want)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("%s: state\n%s\nwant\n%s", when, gotJSON, wantJSON)
+	}
+}
+
+// TestFileOpensVersion1Snapshot opens a store whose snapshot.json is the
+// version-1 single object, checks the state, and checks that the
+// compaction at Close replaced it with journal lines that reopen to the
+// same state.
+func TestFileOpensVersion1Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	want := writeV1Store(t, dir)
+	loadDir(t, dir, "version-1 store", want)
+	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(snap), `{"t":"job"`) || strings.Count(string(snap), "\n") != 7 {
+		t.Fatalf("compacted snapshot is not 7 journal lines (3 jobs, 3 events, 1 lease):\n%s", snap)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil || fi.Size() != 0 {
+		t.Fatalf("journal not truncated after compaction: %v", err)
+	}
+	loadDir(t, dir, "reopened after compaction", want)
+}
+
+// TestFileUpgradeCrashWindows kills the first compaction of a version-1
+// store at each point that leaves a different directory: before the rename
+// (the old snapshot, the full journal and a complete snapshot.json.tmp that
+// Open must not read) and after the rename replaced the old snapshot but
+// before the journal truncation (the new snapshot and the full journal,
+// whose events must not re-append). Both reopen to the same state.
+func TestFileUpgradeCrashWindows(t *testing.T) {
+	done := t.TempDir()
+	want := writeV1Store(t, done)
+	loadDir(t, done, "clean upgrade", want)
+	compacted, err := os.ReadFile(filepath.Join(done, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	beforeRename := t.TempDir()
+	writeV1Store(t, beforeRename)
+	if err := os.WriteFile(filepath.Join(beforeRename, "snapshot.json.tmp"), compacted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loadDir(t, beforeRename, "crash before rename", want)
+
+	afterRename := t.TempDir()
+	writeV1Store(t, afterRename)
+	if err := os.WriteFile(filepath.Join(afterRename, "snapshot.json"), compacted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loadDir(t, afterRename, "crash after rename", want)
+}
+
+// TestFileSnapshotCorruptionIsAnError: the snapshot is renamed into place
+// whole, so unlike the journal's final line, no line of it may be dropped
+// as a crash tail.
+func TestFileSnapshotCorruptionIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	loadDir(t, dir, "upgrade", writeV1Store(t, dir))
+	path := filepath.Join(dir, "snapshot.json")
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(snap, `{"t":"job","job_v":{"id":`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(dir); err == nil {
+		st.Close()
+		t.Fatal("Open succeeded on a snapshot with a torn final line, want error")
+	}
+}
+
+// TestFileReportFraming checks that a job's report is written after its
+// record, compacted and framed, and reads back; that a line torn inside
+// its report is dropped as a crash tail; and that a report byte corrupted
+// in an earlier line fails Open.
+func TestFileReportFraming(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := json.RawMessage("{\n  \"per_iter_s\": 0.25,\n  \"winner\": \"DP-CP-PS\"\n}")
+	for _, rec := range []JobRecord{
+		{ID: "job-1", State: "done", Report: report},
+		{ID: "job-2", State: "done", Report: report},
+	} {
+		if err := st.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.AppendEvent("job-2", EventRecord{Seq: 1, Payload: raw(t, "planned")}); err != nil {
+		t.Fatal(err)
+	}
+	// Sever the store without Close, so the journal is what reopens.
+	st.mu.Lock()
+	st.closed = true
+	st.journal.Close()
+	st.mu.Unlock()
+	jpath := filepath.Join(dir, "journal.jsonl")
+	journal, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(journal), "\n")
+	const compact = `{"per_iter_s":0.25,"winner":"DP-CP-PS"}`
+	if !strings.HasSuffix(lines[0], "\t"+compact+"\n") {
+		t.Fatalf("job line does not end in its framed, compacted report: %q", lines[0])
+	}
+
+	reopen := func(journal string) (*Snapshot, error) {
+		t.Helper()
+		if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			return nil, err
+		}
+		defer st.journal.Close()
+		return st.Load()
+	}
+	snap, err := reopen(string(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != 2 || string(snap.Jobs[1].Report) != compact || len(snap.Events["job-2"]) != 1 {
+		t.Fatalf("reopened state %+v, want both jobs with the compacted report and one event", snap)
+	}
+
+	// Torn inside job-2's report, with nothing after it: a crash tail.
+	torn := lines[0] + lines[1][:len(lines[1])-10]
+	if snap, err = reopen(torn); err != nil {
+		t.Fatalf("Open with a line torn inside its report: %v", err)
+	}
+	if len(snap.Jobs) != 1 || snap.Jobs[0].ID != "job-1" {
+		t.Fatalf("jobs after a torn report = %+v, want job-1 only", snap.Jobs)
+	}
+
+	// One report byte changed in a line other lines follow: corruption.
+	flipped := strings.Replace(lines[0], "0.25", "0.35", 1) + lines[1] + lines[2]
+	if _, err := reopen(flipped); err == nil {
+		t.Fatal("Open succeeded with a corrupted report mid-journal, want error")
+	}
+}
