@@ -151,7 +151,7 @@ func TestCrashRecoveryClassic(t *testing.T) {
 func TestCrashRecoveryFleet(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	cfg := Config{Workers: 1, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(100)}
+	cfg := Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100)}
 
 	srv, ts := openFileServer(t, dir, cfg)
 	power := make(chan struct{})
@@ -320,7 +320,7 @@ func TestArtifactPublishedBeforeDone(t *testing.T) {
 // fleet job across frames.
 func TestSSEStreaming(t *testing.T) {
 	ctx := context.Background()
-	_, c := newTestServer(t, Config{Workers: 1, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(100)})
+	_, c := newTestServer(t, Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100)})
 
 	st, err := c.Submit(ctx, fleetSpec(2))
 	if err != nil {

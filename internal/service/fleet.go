@@ -29,7 +29,6 @@ package service
 import (
 	"fmt"
 
-	"heterog/internal/cli"
 	"heterog/internal/cluster"
 	"heterog/internal/fleet"
 	"heterog/internal/store"
@@ -66,86 +65,15 @@ func (s *Server) Fleet() (*FleetStatus, error) {
 	return st, nil
 }
 
-// submitFleet admits a job in fleet mode: record it waiting, ask the
-// allocator for a lease (spec.GPUs caps the lease size; 0 = no cap), and
-// apply whatever grants fall out — the new job's admission and any resizes
-// of elastic incumbents that made room for it.
-func (s *Server) submitFleet(spec cli.Spec) (*JobStatus, error) {
-	if spec.Cluster != nil {
-		return nil, fmt.Errorf("cli: fleet mode: the server owns the cluster; drop the cluster spec (gpus caps the lease size)")
-	}
-	if err := spec.ValidateWorkload(); err != nil {
-		return nil, err
-	}
-	if spec.GPUs < 0 {
-		return nil, fmt.Errorf("cli: fleet mode: gpus cap must be non-negative, got %d", spec.GPUs)
-	}
-	g, err := spec.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.rejected++
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	s.nextID++
-	j := &job{
-		id:        s.jobIDLocked(),
-		spec:      spec,
-		graph:     g,
-		model:     g.Name,
-		batch:     g.BatchSize,
-		state:     JobWaiting,
-		submitted: s.now(),
-		done:      make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.accepted++
-	s.evictJobsLocked()
-	s.persistJobLocked(j)
-	s.mu.Unlock()
-
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	grants, err := s.fleetAlloc.Submit(fleet.JobSpec{
-		ID:         j.id,
-		Graph:      g,
-		Seed:       seed,
-		MaxDevices: spec.GPUs,
-	})
-	if err != nil {
-		s.mu.Lock()
-		j.state = JobFailed
-		j.err = err.Error()
-		j.failure = err
-		j.finished = s.now()
-		close(j.done)
-		s.persistJobLocked(j)
-		st := s.statusLocked(j)
-		s.mu.Unlock()
-		return st, err
-	}
-	s.applyGrants(grants)
-	return s.Status(j.id)
-}
-
-// resubmitFleet puts a recovered fleet job back through the allocator for a
-// fresh lease (the old one died with the previous process). Called from Open
-// after the workers start.
-func (s *Server) resubmitFleet(j *job) {
+// requestLease asks the allocator for a lease for a waiting job (spec.GPUs
+// caps the lease size; 0 = no cap) and applies whatever grants fall out: the
+// job's own admission and any resizes of elastic incumbents that made room
+// for it.
+func (s *Server) requestLease(j *job) (*JobStatus, error) {
 	seed := j.spec.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	s.mu.Lock()
-	s.persistJobLocked(j) // records the back-to-waiting state
-	s.mu.Unlock()
 	grants, err := s.fleetAlloc.Submit(fleet.JobSpec{
 		ID:         j.id,
 		Graph:      j.graph,
@@ -154,16 +82,13 @@ func (s *Server) resubmitFleet(j *job) {
 	})
 	if err != nil {
 		s.mu.Lock()
-		j.state = JobFailed
-		j.err = fmt.Sprintf("recovery: %v", err)
-		j.failure = err
-		j.finished = s.now()
-		close(j.done)
-		s.persistJobLocked(j)
+		s.finishLocked(j, JobFailed, err.Error(), err) // holds no lease: no grants
+		st := s.statusLocked(j)
 		s.mu.Unlock()
-		return
+		return st, err
 	}
 	s.applyGrants(grants)
+	return s.Status(j.id)
 }
 
 // applyGrants folds allocator decisions into job records: waiting jobs with
@@ -172,10 +97,12 @@ func (s *Server) resubmitFleet(j *job) {
 // of order across concurrent Submit/Release calls, so a grant older than the
 // job's current lease (by Lease.Seq) is dropped. Running jobs never see
 // grants (their leases are pinned; the tiny pin race is resolved inside
-// fleetPin), terminal ones have released already.
+// fleetPin). A draining server leaves waiting jobs waiting, since its queue
+// is closing; a durable store re-queues them on the next start.
 func (s *Server) applyGrants(grants []fleet.Grant) {
-	for _, g := range grants {
-		var enqueue *job
+	for len(grants) > 0 {
+		g := grants[0]
+		grants = grants[1:]
 		s.mu.Lock()
 		j := s.jobs[g.Job]
 		if j == nil || (j.lease != nil && j.lease.Seq >= g.Lease.Seq) {
@@ -184,12 +111,20 @@ func (s *Server) applyGrants(grants []fleet.Grant) {
 		}
 		switch j.state {
 		case JobWaiting:
+			if s.draining {
+				break
+			}
 			s.adoptLeaseLocked(j, g.Lease)
 			j.state = JobQueued
 			s.fleetEventLocked(j, EventLeaseGranted, "")
 			s.persistJobLocked(j)
 			s.persistLeaseLocked(j)
-			enqueue = j
+			// The fleet queue holds MaxJobs, so a full one means the retention
+			// bound itself is exceeded; the job fails rather than silently
+			// wedging with a lease held.
+			if !s.enqueueLocked(j) {
+				grants = append(grants, s.finishLocked(j, JobFailed, ErrQueueFull.Error(), ErrQueueFull)...)
+			}
 		case JobQueued:
 			s.adoptLeaseLocked(j, g.Lease)
 			reason := "lease grown after a release"
@@ -200,9 +135,6 @@ func (s *Server) applyGrants(grants []fleet.Grant) {
 			s.persistLeaseLocked(j)
 		}
 		s.mu.Unlock()
-		if enqueue != nil {
-			s.enqueueFleet(enqueue)
-		}
 	}
 }
 
@@ -229,12 +161,8 @@ func (s *Server) persistLeaseLocked(j *job) {
 }
 
 // fleetEventLocked appends a lease-lifecycle event to the job's plan-update
-// log, creating a watcherless monitor if the job has none yet (telemetry can
-// attach its drift watcher later). Callers hold s.mu.
+// log. Callers hold s.mu.
 func (s *Server) fleetEventLocked(j *job, typ EventType, reason string) {
-	if j.mon == nil {
-		j.mon = s.newJobMonitor(j.id)
-	}
 	ev := PlanEvent{Type: typ, Reason: reason}
 	if j.lease != nil {
 		ev.Lease = j.lease.ID
@@ -242,33 +170,6 @@ func (s *Server) fleetEventLocked(j *job, typ EventType, reason string) {
 		ev.Cluster = j.lease.View.Name
 	}
 	j.mon.append(s.now(), ev)
-}
-
-// enqueueFleet hands a lease-holding job to the worker pool. Fleet-mode
-// queue depth is sized to MaxJobs (admission control lives in the
-// allocator), so a full queue means the retention bound itself is exceeded;
-// such a job fails rather than silently wedging with a lease held.
-func (s *Server) enqueueFleet(j *job) {
-	s.mu.Lock()
-	if j.state != JobQueued { // canceled between grant and enqueue
-		s.mu.Unlock()
-		return
-	}
-	select {
-	case s.queue <- j:
-		s.mu.Unlock()
-		return
-	default:
-	}
-	j.state = JobFailed
-	j.err = ErrQueueFull.Error()
-	j.failure = ErrQueueFull
-	j.finished = s.now()
-	j.started = j.finished
-	close(j.done)
-	s.persistJobLocked(j)
-	s.mu.Unlock()
-	s.fleetRelease(j)
 }
 
 // fleetPin freezes the job's lease for the duration of planning and adopts
@@ -290,21 +191,6 @@ func (s *Server) fleetPin(j *job) {
 		s.adoptLeaseLocked(j, l)
 	}
 	s.mu.Unlock()
-}
-
-// fleetRelease returns a terminal job's lease (or waiting-queue slot) to the
-// allocator and applies the rebalance that falls out: waiting jobs admit
-// first, then incumbents grow. Safe to call for jobs that never held a lease
-// and idempotent across repeated terminal paths.
-func (s *Server) fleetRelease(j *job) {
-	if s.fleetAlloc == nil {
-		return
-	}
-	grants := s.fleetAlloc.Release(j.id)
-	s.mu.Lock()
-	s.leaseReleasedLocked(j)
-	s.mu.Unlock()
-	s.applyGrants(grants)
 }
 
 // leaseReleasedLocked drops a terminal job's lease and journals its release.

@@ -50,7 +50,7 @@ func eventTypes(evs []PlanEvent) []EventType {
 // test-fast.
 func TestFleetE2E(t *testing.T) {
 	_, c := newTestServer(t, Config{
-		Workers: 2, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(100),
+		Workers: 2, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100),
 	})
 	ctx := context.Background()
 
@@ -102,7 +102,7 @@ func TestFleetE2E(t *testing.T) {
 // specs that describe their own cluster, and classic servers 404 /v1/fleet.
 func TestFleetRejectsClusterSpecs(t *testing.T) {
 	_, c := newTestServer(t, Config{
-		Workers: 1, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(100),
+		Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100),
 	})
 	ctx := context.Background()
 
@@ -124,7 +124,7 @@ func TestFleetRejectsClusterSpecs(t *testing.T) {
 // a release admits the waiting queue. Every transition is asserted on the
 // event logs, synchronously (grants apply inside Submit/Cancel/Release).
 func TestFleetWaitingAndRebalance(t *testing.T) {
-	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(0.001)})
+	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(0.001)})
 	t.Cleanup(func() {
 		if err := srv.Close(); err != nil {
 			t.Errorf("close: %v", err)
@@ -232,7 +232,7 @@ func TestFleetWaitingAndRebalance(t *testing.T) {
 // TestFleetCancelWaiting cancels a job that never got a lease and checks it
 // leaves the allocator's waiting queue without disturbing the incumbent.
 func TestFleetCancelWaiting(t *testing.T) {
-	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), FleetEstimate: fleetEstimate(0.001)})
+	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(0.001)})
 	t.Cleanup(func() {
 		if err := srv.Close(); err != nil {
 			t.Errorf("close: %v", err)
@@ -278,6 +278,116 @@ func TestFleetCancelWaiting(t *testing.T) {
 	if st, err := srv.Wait(ctx, j1.ID); err != nil || st.State != JobDone {
 		t.Fatalf("wait j1: state=%v err=%v", st.State, err)
 	}
+}
+
+// TestFleetCancelQueuedReleasesLeaseFirst cancels a queued job that holds a
+// lease: the lease must be back with the allocator before the job turns
+// terminal, so the Cancel response names no lease, the devices show free in
+// the fleet snapshot, and the lease-released event is already on the log
+// when a waiter wakes.
+func TestFleetCancelQueuedReleasesLeaseFirst(t *testing.T) {
+	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100)})
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	tokens := make(chan struct{})
+	srv.runHook = func(ctx context.Context, j *job) error {
+		select {
+		case <-tokens:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+
+	j1, err := srv.Submit(fleetSpec(2))
+	if err != nil {
+		t.Fatalf("submit j1: %v", err)
+	}
+	waitForState(t, srv, j1.ID, JobRunning)
+	j2, err := srv.Submit(fleetSpec(2))
+	if err != nil {
+		t.Fatalf("submit j2: %v", err)
+	}
+	if st, _ := srv.Status(j2.ID); st.State != JobQueued || st.Lease == "" {
+		t.Fatalf("j2 = %s lease=%q, want queued with a lease", st.State, st.Lease)
+	}
+
+	woke := make(chan []PlanEvent, 1)
+	go func() {
+		if _, err := srv.Wait(context.Background(), j2.ID); err != nil {
+			t.Errorf("wait j2: %v", err)
+		}
+		evs, _ := srv.Events(j2.ID, 0)
+		woke <- evs
+	}()
+	st, err := srv.Cancel(j2.ID)
+	if err != nil || st.State != JobCanceled {
+		t.Fatalf("cancel j2: state=%v err=%v", st.State, err)
+	}
+	if st.Lease != "" {
+		t.Fatalf("cancel response still names lease %q", st.Lease)
+	}
+	fs, err := srv.Fleet()
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if fs.FreeDevices != 6 || len(fs.Leases) != 1 || fs.Leases[0].Job != j1.ID {
+		t.Fatalf("fleet after cancel = %+v, want only j1's lease held", fs.State)
+	}
+	for name, evs := range map[string][]PlanEvent{"log": mustEvents(t, srv, j2.ID), "waiter's log": <-woke} {
+		if types := eventTypes(evs); len(types) == 0 || types[len(types)-1] != EventLeaseReleased {
+			t.Fatalf("j2 %s = %v, want it to end in %s", name, types, EventLeaseReleased)
+		}
+	}
+
+	tokens <- struct{}{}
+	if st, err := srv.Wait(context.Background(), j1.ID); err != nil || st.State != JobDone {
+		t.Fatalf("wait j1: state=%v err=%v", st.State, err)
+	}
+}
+
+// TestFleetDrainLeavesWaitingJobs closes a fleet server while one job runs
+// and another waits for a lease. The running job's release grants the
+// waiting one a lease after the queue has closed; the waiting job must stay
+// waiting (a durable store re-queues it on the next start) and Close must
+// return cleanly.
+func TestFleetDrainLeavesWaitingJobs(t *testing.T) {
+	srv := New(Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(0.001)})
+	srv.runHook = func(ctx context.Context, j *job) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	j1, err := srv.Submit(fleetSpec(0)) // whole fleet
+	if err != nil {
+		t.Fatalf("submit j1: %v", err)
+	}
+	waitForState(t, srv, j1.ID, JobRunning)
+	j2, err := srv.Submit(fleetSpec(0))
+	if err != nil {
+		t.Fatalf("submit j2: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if st, _ := srv.Status(j1.ID); st.State != JobCanceled {
+		t.Fatalf("j1 = %s after close, want canceled", st.State)
+	}
+	if st, _ := srv.Status(j2.ID); st.State != JobWaiting {
+		t.Fatalf("j2 = %s after close, want still waiting", st.State)
+	}
+}
+
+// mustEvents returns a job's whole event log.
+func mustEvents(t *testing.T, srv *Server, id string) []PlanEvent {
+	t.Helper()
+	evs, err := srv.Events(id, 0)
+	if err != nil {
+		t.Fatalf("events %s: %v", id, err)
+	}
+	return evs
 }
 
 // waitForState polls until the job reaches the state (or the test times out).

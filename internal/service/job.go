@@ -52,7 +52,7 @@ type job struct {
 	recovered bool
 
 	// Resolved at admission so a malformed spec is rejected before queueing.
-	// In fleet mode cluster and warmKey stay unset until a lease is granted
+	// A fleet job's cluster and warmKey stay unset until a lease is granted
 	// (adoptLeaseLocked fills them from the lease's view).
 	graph   *graph.Graph
 	cluster *cluster.View
@@ -84,8 +84,8 @@ type job struct {
 	finished  time.Time
 	cancel    context.CancelFunc
 	done      chan struct{}
-	// mon is the telemetry monitor, created lazily by the first
-	// PushTelemetry once the job is done (nil until then).
+	// mon holds the job's plan-update event log, created at admission or
+	// recovery. The first PushTelemetry attaches its drift watcher.
 	mon *monitor
 }
 

@@ -10,8 +10,9 @@ package service
 //     runner is gone, so traces, replans and telemetry against pre-restart
 //     jobs report not-done with a "predates restart" cause;
 //   - queued, running and waiting jobs are re-queued: planning restarts from
-//     scratch (the service never acknowledged a result for them), in fleet
-//     mode through a fresh allocator grant (Lease.Seq resolves any races,
+//     scratch (the service never acknowledged a result for them). Each spec
+//     is resolved and placed exactly like a fresh submission, so a fleet job
+//     asks the allocator for a fresh lease (Lease.Seq resolves any races,
 //     exactly as live resizes do);
 //   - each job's event log resumes gap-free: recovered events keep their
 //     sequence numbers and new appends continue the dense numbering, so a
@@ -162,15 +163,16 @@ func parseJobCounter(id string) (uint64, bool) {
 }
 
 // recover replays the store snapshot into the server's job table, returning
-// the classic-mode jobs to re-queue and the fleet-mode jobs to resubmit.
+// the jobs that were not finished at crash time. Each is resolved through the
+// same spec step as Submit, and Open places it like a fresh submission.
 // Called from Open before the queue exists and before any worker runs, so no
 // locking is needed yet.
-func (s *Server) recover(snap *store.Snapshot) (requeue, resubmit []*job, err error) {
+func (s *Server) recover(snap *store.Snapshot) (pending []*job, err error) {
 	start := time.Now()
 	for _, rec := range snap.Jobs {
-		j, terminal, convErr := s.recoverJob(rec, snap.Events[rec.ID])
-		if convErr != nil {
-			return nil, nil, convErr
+		j, err := s.recoverJob(rec, snap.Events[rec.ID])
+		if err != nil {
+			return nil, err
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -178,36 +180,21 @@ func (s *Server) recover(snap *store.Snapshot) (requeue, resubmit []*job, err er
 			s.nextID = n
 		}
 		s.recovery.Jobs++
-		if terminal {
+		if j.state.Terminal() {
 			continue
 		}
-		// Non-terminal at crash time: plan again from scratch. Classic jobs
-		// re-resolve their spec (graph + cluster); fleet jobs rebuild the
-		// graph and go back through the allocator.
-		if s.fleetAlloc != nil {
-			if g, bErr := j.spec.BuildGraph(); bErr != nil {
-				s.failRecoveredJob(j, bErr)
-				continue
-			} else {
-				j.graph = g
-				j.model, j.batch = g.Name, g.BatchSize
-			}
-			j.state = JobWaiting
-			j.lease = nil
-			j.cluster = nil
-			resubmit = append(resubmit, j)
-		} else {
-			g, c, rErr := resolveSpec(&j.spec)
-			if rErr != nil {
-				s.failRecoveredJob(j, rErr)
-				continue
-			}
-			j.graph, j.cluster = g, c
-			j.model, j.batch = g.Name, g.BatchSize
-			j.warmKey = warmKey(&j.spec, g, c)
-			j.state = JobQueued
-			requeue = append(requeue, j)
+		// Non-terminal at crash time: plan again from scratch. A spec that no
+		// longer resolves fails the job; recovery never silently drops an
+		// accepted job.
+		g, c, rErr := s.resolve(&j.spec)
+		if rErr != nil {
+			s.recovery.Unresolvable++
+			s.finishLocked(j, JobFailed, fmt.Sprintf("recovery: %v", rErr), rErr)
+			continue
 		}
+		j.graph, j.cluster = g, c
+		j.model, j.batch = g.Name, g.BatchSize
+		pending = append(pending, j)
 		s.recovery.Requeued++
 	}
 	for id, evs := range snap.Events {
@@ -217,13 +204,13 @@ func (s *Server) recover(snap *store.Snapshot) (requeue, resubmit []*job, err er
 		s.recovery.Events += len(evs)
 	}
 	s.recovery.Sec = time.Since(start).Seconds()
-	return requeue, resubmit, nil
+	return pending, nil
 }
 
-// recoverJob converts one durable record back into a job, reattaching its
-// event log. Terminal jobs come back complete (report included); non-terminal
-// ones come back as shells the caller re-queues.
-func (s *Server) recoverJob(rec store.JobRecord, events []store.EventRecord) (*job, bool, error) {
+// recoverJob converts one durable record back into a job with its monitor,
+// reattaching its event log. Terminal jobs come back complete (report
+// included); non-terminal ones come back as shells the caller re-queues.
+func (s *Server) recoverJob(rec store.JobRecord, events []store.EventRecord) (*job, error) {
 	j := &job{
 		id:        rec.ID,
 		state:     JobState(rec.State),
@@ -235,10 +222,11 @@ func (s *Server) recoverJob(rec store.JobRecord, events []store.EventRecord) (*j
 		err:       rec.Error,
 		submitted: rec.SubmittedAt,
 		done:      make(chan struct{}),
+		mon:       s.newJobMonitor(rec.ID),
 	}
 	if len(rec.Spec) > 0 {
 		if err := json.Unmarshal(rec.Spec, &j.spec); err != nil {
-			return nil, false, fmt.Errorf("service: recover %s: decode spec: %w", rec.ID, err)
+			return nil, fmt.Errorf("service: recover %s: decode spec: %w", rec.ID, err)
 		}
 	}
 	if rec.StartedAt != nil {
@@ -253,25 +241,22 @@ func (s *Server) recoverJob(rec store.JobRecord, events []store.EventRecord) (*j
 	j.clusterName, j.clusterDevices = rec.Cluster, rec.Devices
 	if len(events) > 0 {
 		if err := store.ValidateEventLog(rec.ID, events); err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		mon := s.newJobMonitor(rec.ID)
-		mon.events = make([]PlanEvent, 0, len(events))
+		j.mon.events = make([]PlanEvent, 0, len(events))
 		for _, er := range events {
 			var ev PlanEvent
 			if err := json.Unmarshal(er.Payload, &ev); err != nil {
-				return nil, false, fmt.Errorf("service: recover %s: decode event %d: %w", rec.ID, er.Seq, err)
+				return nil, fmt.Errorf("service: recover %s: decode event %d: %w", rec.ID, er.Seq, err)
 			}
-			mon.events = append(mon.events, ev)
+			j.mon.events = append(j.mon.events, ev)
 		}
-		j.mon = mon
 	}
-	if !j.state.Terminal() {
-		return j, false, nil
+	if j.state.Terminal() {
+		j.reportRaw = rec.Report
+		close(j.done)
 	}
-	j.reportRaw = rec.Report
-	close(j.done)
-	return j, true, nil
+	return j, nil
 }
 
 // decodeReport decodes a recovered job's durable report on first use.
@@ -286,28 +271,4 @@ func (j *job) decodeReport() error {
 	}
 	j.report, j.reportRaw = &rep, nil
 	return nil
-}
-
-// failRecoveredJob marks a recovered job whose spec no longer resolves as
-// failed — recovery never silently drops an accepted job.
-func (s *Server) failRecoveredJob(j *job, err error) {
-	j.state = JobFailed
-	j.err = fmt.Sprintf("recovery: %v", err)
-	j.failure = err
-	j.finished = s.now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	close(j.done)
-	s.recovery.Unresolvable++
-	s.persistJobLocked(j) // no locks held yet: Open runs single-threaded
-}
-
-// logRecovered appends the job-recovered event to a re-queued job's log,
-// creating its monitor when the job had no events before the crash.
-func (s *Server) logRecovered(j *job) {
-	if j.mon == nil {
-		j.mon = s.newJobMonitor(j.id)
-	}
-	j.mon.append(s.now(), PlanEvent{Type: EventJobRecovered, Reason: "re-queued after restart"})
 }

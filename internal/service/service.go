@@ -88,10 +88,6 @@ type Config struct {
 	// internal/fleet and fleet.go). Nil keeps the classic mode where every
 	// job describes its own cluster.
 	Fleet *cluster.Cluster
-	// FleetEstimate overrides the fleet allocator's per-iteration time
-	// estimator (default core.EstimateLeaseTime). Test seam and tuning knob;
-	// ignored without Fleet.
-	FleetEstimate fleet.EstimateFunc
 	// Store is the durable backend for jobs, event logs, leases and warm
 	// artifacts (default a fresh in-memory store, which keeps the classic
 	// restart-starts-empty behavior). A file store (store.Open) makes the
@@ -108,6 +104,11 @@ type Config struct {
 	Peers []string
 	// PeerTimeout bounds one peer artifact fetch (default 5s).
 	PeerTimeout time.Duration
+
+	// fleetEstimate overrides the fleet allocator's per-iteration time
+	// estimator (default core.EstimateLeaseTime). A test seam; ignored
+	// without Fleet.
+	fleetEstimate fleet.EstimateFunc
 }
 
 func (c Config) withDefaults() Config {
@@ -225,37 +226,40 @@ func Open(cfg Config) (*Server, error) {
 		store: cfg.Store,
 	}
 	if cfg.Fleet != nil {
-		s.fleetAlloc = fleet.New(cfg.Fleet, cfg.FleetEstimate)
+		s.fleetAlloc = fleet.New(cfg.Fleet, cfg.fleetEstimate)
 	}
 	snap, err := s.store.Load()
 	if err != nil {
 		return nil, fmt.Errorf("service: load store: %w", err)
 	}
-	requeue, resubmit, err := s.recover(snap)
+	pending, err := s.recover(snap)
 	if err != nil {
 		return nil, err
 	}
-	// Recovered jobs enqueue before the workers start, so the queue must hold
-	// all of them on top of the configured depth.
-	if n := cfg.QueueDepth + len(requeue); n > cfg.QueueDepth {
-		s.cfg.QueueDepth = n
+	// Recovered jobs enqueue before any new submission, so the queue must
+	// hold every one with a cluster on top of the configured depth.
+	for _, j := range pending {
+		if j.cluster != nil {
+			s.cfg.QueueDepth++
+		}
 	}
 	s.queue = make(chan *job, s.cfg.QueueDepth)
-	for _, j := range requeue {
-		s.logRecovered(j)
-		s.persistJobLocked(j) // single-threaded here; records the re-queued state
-		s.queue <- j
-	}
 	s.evictJobsLocked()
+	// Each recovered job is placed like a fresh submission; grants and
+	// resizes land on its (recovered, gap-free) event log as usual.
+	for _, j := range pending {
+		s.mu.Lock()
+		j.mon.append(s.now(), PlanEvent{Type: EventJobRecovered, Reason: "re-queued after restart"})
+		s.placeLocked(j) // cannot fail: the queue was sized for it above
+		s.persistJobLocked(j)
+		s.mu.Unlock()
+		if j.cluster == nil {
+			_, _ = s.requestLease(j) // a refused request fails the job itself
+		}
+	}
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
-	}
-	// Fleet jobs go back through the allocator for fresh leases; grants and
-	// resizes land on their (recovered, gap-free) event logs as usual.
-	for _, j := range resubmit {
-		s.logRecovered(j)
-		s.resubmitFleet(j)
 	}
 	return s, nil
 }
@@ -321,14 +325,31 @@ func (s *Server) warmSetFor(key evalcache.Key) *warmSet {
 // (backpressure), a draining server ErrDraining. In fleet mode the job
 // instead waits for a lease on the server's own cluster (see fleet.go).
 func (s *Server) Submit(spec cli.Spec) (*JobStatus, error) {
-	if s.fleetAlloc != nil {
-		return s.submitFleet(spec)
+	if s.fleetAlloc != nil && spec.Cluster != nil {
+		return nil, fmt.Errorf("cli: fleet mode: the server owns the cluster; drop the cluster spec (gpus caps the lease size)")
 	}
-	g, c, err := resolveSpec(&spec)
+	g, c, err := s.resolve(&spec)
 	if err != nil {
 		return nil, err
 	}
-	return s.admit(&job{spec: spec, graph: g, cluster: c, warmKey: warmKey(&spec, g, c)})
+	return s.admit(&job{spec: spec, graph: g, cluster: c})
+}
+
+// resolve is the spec step of every submitted or recovered job. A fleet
+// server resolves a spec without a cluster description to its graph alone:
+// spec.GPUs caps the lease the job will ask for instead of naming a testbed.
+func (s *Server) resolve(spec *cli.Spec) (*graph.Graph, *cluster.View, error) {
+	if s.fleetAlloc == nil || spec.Cluster != nil {
+		return resolveSpec(spec)
+	}
+	if err := spec.ValidateWorkload(); err != nil {
+		return nil, nil, err
+	}
+	if spec.GPUs < 0 {
+		return nil, nil, fmt.Errorf("cli: fleet mode: gpus cap must be non-negative, got %d", spec.GPUs)
+	}
+	g, err := spec.BuildGraph()
+	return g, nil, err
 }
 
 // resolveSpec validates the spec and builds its graph and cluster view.
@@ -357,7 +378,8 @@ func (s *Server) jobIDLocked() string {
 	return fmt.Sprintf("job-%06d", s.nextID)
 }
 
-// admit assigns an ID, enqueues the job and records it.
+// admit assigns a resolved job its ID and monitor, places it and records it.
+// Every new job, replans included, enters the server here.
 func (s *Server) admit(j *job) (*JobStatus, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -367,15 +389,11 @@ func (s *Server) admit(j *job) (*JobStatus, error) {
 	}
 	s.nextID++
 	j.id = s.jobIDLocked()
-	j.state = JobQueued
 	j.submitted = s.now()
 	j.done = make(chan struct{})
-	if j.graph != nil {
-		j.model, j.batch = j.graph.Name, j.graph.BatchSize
-	}
-	select {
-	case s.queue <- j:
-	default:
+	j.mon = s.newJobMonitor(j.id)
+	j.model, j.batch = j.graph.Name, j.graph.BatchSize
+	if !s.placeLocked(j) {
 		s.rejected++
 		s.nextID-- // never observed, reuse the ID
 		s.mu.Unlock()
@@ -388,7 +406,57 @@ func (s *Server) admit(j *job) (*JobStatus, error) {
 	s.persistJobLocked(j)
 	st := s.statusLocked(j)
 	s.mu.Unlock()
+	if j.cluster == nil {
+		return s.requestLease(j)
+	}
 	return st, nil
+}
+
+// placeLocked is the placement step that separates the two modes. A job
+// whose cluster is resolved is queued for a worker (false when the queue is
+// full); one without a cluster waits, and its caller asks the allocator for a
+// lease with requestLease once s.mu is dropped. Callers hold s.mu.
+func (s *Server) placeLocked(j *job) bool {
+	if j.cluster == nil {
+		j.state = JobWaiting
+		return true
+	}
+	j.warmKey = warmKey(&j.spec, j.graph, j.cluster)
+	j.state = JobQueued
+	return s.enqueueLocked(j)
+}
+
+// enqueueLocked hands a queued job to the worker pool without blocking,
+// reporting false when the queue is full. Callers hold s.mu.
+func (s *Server) enqueueLocked(j *job) bool {
+	select {
+	case s.queue <- j:
+		return true
+	default:
+		return false
+	}
+}
+
+// finishLocked is the one terminal transition. It gives a fleet lease back
+// to the allocator before the job turns terminal, so a client that sees the
+// job finished finds the lease released on its event log and the devices
+// free in the fleet status. A job that never ran here starts and finishes at
+// the same instant. Callers hold s.mu and pass the returned grants (the
+// rebalance the release caused) to applyGrants once s.mu is dropped.
+func (s *Server) finishLocked(j *job, state JobState, msg string, failure error) []fleet.Grant {
+	var grants []fleet.Grant
+	if s.fleetAlloc != nil {
+		grants = s.fleetAlloc.Release(j.id)
+	}
+	j.finished = s.now()
+	if j.state != JobRunning {
+		j.started = j.finished
+	}
+	j.state, j.err, j.failure = state, msg, failure
+	s.leaseReleasedLocked(j)
+	close(j.done)
+	s.persistJobLocked(j)
+	return grants
 }
 
 // evictJobsLocked forgets the oldest terminal jobs beyond MaxJobs.
@@ -442,12 +510,17 @@ func (s *Server) Replan(sourceID string, req ReplanRequest) (*JobStatus, error) 
 	if err != nil {
 		return nil, err
 	}
-	spec.Cluster = nil
+	return s.admit(replanJob(spec, runner, nc, sourceID))
+}
+
+// replanJob builds the job that replans a source job's workload onto the
+// cluster view c, reusing the graph of the source's runner. Its spec is the
+// source spec with the cluster fields replaced by a description of c, so the
+// job stays self-describing (and resolvable after a restart).
+func replanJob(spec cli.Spec, runner *heterog.Runner, c *cluster.View, replanOf string) *job {
+	spec.Cluster = describeCluster(c.Cluster)
 	spec.GPUs = 0
-	j := &job{spec: spec, replanOf: sourceID, graph: runner.Graph, cluster: nc,
-		warmKey: warmKey(&spec, runner.Graph, nc)}
-	j.spec.Cluster = describeCluster(nc.Cluster)
-	return s.admit(j)
+	return &job{spec: spec, replanOf: replanOf, graph: runner.Graph, cluster: c}
 }
 
 // replanCluster builds the changed cluster view a replan request describes
@@ -564,36 +637,23 @@ func (s *Server) run(j *job) {
 		s.exportArtifact(j)
 	}
 
-	// Free a fleet lease before the job turns terminal: a client that sees
-	// the job finished must find the lease released on its event log and
-	// the devices free in the fleet status.
-	var grants []fleet.Grant
-	if s.fleetAlloc != nil {
-		grants = s.fleetAlloc.Release(j.id)
-	}
-	s.mu.Lock()
-	j.finished = s.now()
+	var (
+		state   = JobDone
+		msg     string
+		failure error
+	)
 	switch {
 	case err == nil:
-		j.state = JobDone
 	case errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.err = "canceled by client"
+		state, msg = JobCanceled, "canceled by client"
 	case errors.Is(err, context.DeadlineExceeded):
-		j.state = JobFailed
-		j.err = fmt.Sprintf("timed out after %s", s.cfg.JobTimeout)
-		j.failure = err
+		state, msg, failure = JobFailed, fmt.Sprintf("timed out after %s", s.cfg.JobTimeout), err
 	default:
-		j.state = JobFailed
-		j.err = err.Error()
-		j.failure = err
+		state, msg, failure = JobFailed, err.Error(), err
 	}
-	s.leaseReleasedLocked(j)
-	close(j.done)
-	s.persistJobLocked(j)
+	s.mu.Lock()
+	grants := s.finishLocked(j, state, msg, failure)
 	s.mu.Unlock()
-	// Let the fleet rebalance (applyGrants takes s.mu per grant, so the lock
-	// is dropped first).
 	s.applyGrants(grants)
 }
 
@@ -854,20 +914,13 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	var release bool
+	var grants []fleet.Grant
 	switch j.state {
 	case JobWaiting, JobQueued:
-		// The worker that eventually pops this job (if it was ever enqueued)
-		// sees the terminal state and skips it. Waiting and queued fleet jobs
-		// give their queue slot or lease back right here; running ones
-		// release through run()'s terminal path once the cancel lands.
-		j.state = JobCanceled
-		j.err = "canceled by client"
-		j.finished = s.now()
-		j.started = j.finished
-		close(j.done)
-		s.persistJobLocked(j)
-		release = true
+		// The worker that eventually pops a queued job sees the terminal
+		// state and skips it. Running jobs finish through run() once the
+		// cancel lands.
+		grants = s.finishLocked(j, JobCanceled, "canceled by client", nil)
 	case JobRunning:
 		if j.cancel != nil {
 			j.cancel()
@@ -875,9 +928,7 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 	}
 	st := s.statusLocked(j)
 	s.mu.Unlock()
-	if release {
-		s.fleetRelease(j)
-	}
+	s.applyGrants(grants)
 	return st, nil
 }
 

@@ -191,14 +191,10 @@ func (s *Server) PushTelemetry(id string, readings []telemetry.Reading) (*Teleme
 		}
 		return nil, fmt.Errorf("%w: telemetry needs a done job, %s is %s", ErrNotDone, id, st)
 	}
+	// The monitor exists from admission, but the drift watcher needs the
+	// runner, so the first push attaches it. Lock ordering s.mu → mon.mu,
+	// consistent with fleetEventLocked.
 	mon := j.mon
-	if mon == nil {
-		mon = s.newJobMonitor(j.id)
-		j.mon = mon
-	}
-	// Fleet lease events may have created the monitor (watcherless) long
-	// before the first telemetry push; attach the drift watcher lazily.
-	// Lock ordering s.mu → mon.mu, consistent with fleetEventLocked.
 	mon.mu.Lock()
 	if mon.watcher == nil {
 		w, err := j.runner.Watcher()
@@ -274,13 +270,8 @@ func (s *Server) autoReplan(src *job, mon *monitor) {
 		mon.mu.Unlock()
 	}
 
-	spec := src.spec
-	spec.Cluster = nil
-	spec.GPUs = 0
-	re := &job{spec: spec, replanOf: incumbentID, auto: true,
-		graph: src.runner.Graph, cluster: drifted,
-		warmKey: warmKey(&spec, src.runner.Graph, drifted)}
-	re.spec.Cluster = describeCluster(drifted.Cluster)
+	re := replanJob(src.spec, src.runner, drifted, incumbentID)
+	re.auto = true
 
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -354,14 +345,11 @@ func (s *Server) autoReplan(src *job, mon *monitor) {
 }
 
 // Events returns a job's plan-update events with Seq > since, without
-// blocking. A job that never received telemetry has an empty log.
+// blocking. A job that never logged an event has an empty log.
 func (s *Server) Events(id string, since uint64) ([]PlanEvent, error) {
 	mon, err := s.monitorOf(id)
 	if err != nil {
 		return nil, err
-	}
-	if mon == nil {
-		return []PlanEvent{}, nil
 	}
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
@@ -372,36 +360,16 @@ func (s *Server) Events(id string, since uint64) ([]PlanEvent, error) {
 // Seq > since, or an empty slice once ctx fires (a fired deadline is not an
 // error, matching the job-status long-poll).
 func (s *Server) WaitEvents(ctx context.Context, id string, since uint64) ([]PlanEvent, error) {
+	mon, err := s.monitorOf(id)
+	if err != nil {
+		return nil, err
+	}
 	for {
-		s.mu.Lock()
-		j := s.jobs[id]
-		var mon *monitor
-		if j != nil {
-			mon = j.mon
-		}
-		s.mu.Unlock()
-		if j == nil {
-			return nil, ErrNotFound
-		}
-		var notify chan struct{}
-		if mon != nil {
-			mon.mu.Lock()
-			if evs := eventsAfter(mon.events, since); len(evs) > 0 {
-				mon.mu.Unlock()
-				return evs, nil
-			}
-			notify = mon.notify
-			mon.mu.Unlock()
-		}
-		if notify == nil {
-			// No monitor yet: poll for its creation at a coarse grain; the
-			// first push creates it and appends no events until a trip.
-			select {
-			case <-time.After(50 * time.Millisecond):
-			case <-ctx.Done():
-				return []PlanEvent{}, nil
-			}
-			continue
+		mon.mu.Lock()
+		evs, notify := eventsAfter(mon.events, since), mon.notify
+		mon.mu.Unlock()
+		if len(evs) > 0 {
+			return evs, nil
 		}
 		select {
 		case <-notify:
@@ -411,7 +379,7 @@ func (s *Server) WaitEvents(ctx context.Context, id string, since uint64) ([]Pla
 	}
 }
 
-// monitorOf resolves a job's monitor (nil when telemetry never arrived).
+// monitorOf resolves a job's monitor.
 func (s *Server) monitorOf(id string) (*monitor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
