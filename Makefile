@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-robust bench-pipeline
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-robust bench-pipeline
 
-# check is the tier-1 verification entry point: static analysis, build, the
-# full test suite, and the race detector over the concurrency-sensitive
-# packages (evaluation cache, batched rollouts, evaluator, simulator).
-check: vet lint build test race
+# check is the tier-1 verification entry point: formatting, static analysis,
+# build, the full test suite, and the race detector over the
+# concurrency-sensitive packages (evaluation cache, batched rollouts,
+# evaluator, simulator).
+check: fmt vet lint build test race
+
+# fmt fails when gofmt would reformat any file, listing the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

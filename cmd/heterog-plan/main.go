@@ -32,6 +32,7 @@ func main() {
 	spec.RegisterClusterFlags(flag.CommandLine, 8)
 	spec.RegisterSearchFlags(flag.CommandLine, 4)
 	spec.RegisterFaultFlags(flag.CommandLine, 0)
+	flag.BoolVar(&spec.Exact, "exact", false, "disable bound-based pruning (exhaustive cold path)")
 	verbose := flag.Bool("v", false, "print per-unit busy times and evaluation-cache stats")
 	savePath := flag.String("save", "", "write the HeteroG strategy as JSON to this path")
 	tracePath := flag.String("trace", "", "write the simulated schedule as a Chrome trace to this path")
@@ -88,6 +89,7 @@ func main() {
 	}
 
 	acfg := agent.DefaultConfig(c.NumDevices())
+	acfg.Seed = spec.Seed
 	if spec.BatchEpisodes > 0 {
 		acfg.BatchEpisodes = spec.BatchEpisodes
 	}

@@ -83,10 +83,8 @@ type settings struct {
 	// ctx cancels strategy search between episode batches (nil = Background).
 	ctx context.Context
 	// caches, when non-nil, is a shared warm-cache set replacing the private
-	// per-runner caches; evalCap/loweredCap size private caches otherwise
-	// (0 = package defaults).
-	caches              *CacheSet
-	evalCap, loweredCap int
+	// per-runner caches.
+	caches *CacheSet
 	// pruning gates bound-based candidate pruning (default on;
 	// WithPruning(false) restores exhaustive evaluation).
 	pruning bool
@@ -168,14 +166,6 @@ func WithContext(ctx context.Context) Option {
 // the caller must uphold.
 func WithCaches(cs *CacheSet) Option {
 	return func(s *settings) { s.caches = cs }
-}
-
-// WithCacheCapacities sizes the runner's private evaluation and
-// lowered-artifact caches (entries, not bytes; 0 keeps the package defaults).
-// Ignored when WithCaches supplies a shared set, which carries its own
-// capacities.
-func WithCacheCapacities(evalEntries, loweredEntries int) Option {
-	return func(s *settings) { s.evalCap, s.loweredCap = evalEntries, loweredEntries }
 }
 
 // WithPruning toggles bound-based candidate pruning during strategy search
@@ -315,8 +305,6 @@ func plan(g *graph.Graph, devices *cluster.View, cfg settings) (*Runner, error) 
 	}
 	if cfg.caches != nil {
 		cfg.caches.install(ev)
-	} else if cfg.evalCap > 0 || cfg.loweredCap > 0 {
-		NewCacheSet(cfg.evalCap, cfg.loweredCap).install(ev)
 	}
 	ev.UseFIFO = cfg.useDefaultOrder
 	if cfg.faultK > 0 {
@@ -393,7 +381,12 @@ func (r *Runner) Run(steps int) (*Report, error) {
 // RobustReport returns the plan's fault-scenario profile, or nil when the
 // runner was planned without WithRobustness.
 func (r *Runner) RobustReport() *RobustReport {
-	rep := r.Plan.Robust
+	return publicRobustReport(r.Plan.Robust)
+}
+
+// publicRobustReport converts the evaluator's fault-scenario report into
+// its public form (nil for nil).
+func publicRobustReport(rep *core.RobustReport) *RobustReport {
 	if rep == nil {
 		return nil
 	}
@@ -550,16 +543,7 @@ func (r *Runner) ScoreFaults(k int, seed int64, blend float64) (*RobustReport, e
 	if err != nil {
 		return nil, fmt.Errorf("heterog: fault scoring: %w", err)
 	}
-	rep := e.Robust
-	return &RobustReport{
-		Scenarios:     len(rep.Times),
-		NominalSec:    rep.Nominal,
-		P95Sec:        rep.P95,
-		WorstSec:      rep.Worst,
-		OOMUnderFault: rep.OOMFaults,
-		WorstScenario: rep.WorstScenario,
-		Blend:         rep.Blend,
-	}, nil
+	return publicRobustReport(e.Robust), nil
 }
 
 // ZooModel adapts a bundled benchmark model into a ModelFunc.

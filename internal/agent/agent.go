@@ -52,13 +52,18 @@ func DefaultConfig(m int) Config {
 // and the per-graph reward baselines of the paper's policy-gradient update.
 //
 // An Agent's learning methods mutate the network weights and RNG and are not
-// safe for concurrent use; the per-evaluator state cache, however, is
-// mutex-guarded so that distinct agents sharing an evaluator (and Plan's
-// internal evaluation goroutines) race-free.
+// safe for concurrent use, except Plan and PlanContext, which serialize on a
+// per-agent lock: replans of one runner share its warm agent and may run on
+// different workers at once. The per-evaluator state cache is mutex-guarded
+// so that distinct agents sharing an evaluator (and Plan's internal
+// evaluation goroutines) race-free.
 type Agent struct {
 	GAT *gnn.GAT
 	Net *policy.Network
 	Opt *nn.Adam
+
+	// planMu is held across each Plan/PlanContext call.
+	planMu sync.Mutex
 
 	cfg       Config
 	m         int
@@ -277,43 +282,14 @@ func (a *Agent) SeedIncumbent(ev *core.Evaluator, e *core.Evaluation) error {
 //	θ ← θ + α (r - R̄) ∇ log π(a) + λ ∇ H(π)
 //
 // with R̄ a per-graph moving average of rewards. Set learn=false for pure
-// evaluation (no update), greedy=true for argmax decoding. The sampled path
-// is the k=1 case of RunEpisodes.
+// evaluation (no update), greedy=true for argmax decoding. It is the k=1
+// case of the batched rollout.
 func (a *Agent) RunEpisode(ev *core.Evaluator, learn, greedy bool) (*Episode, error) {
-	if !greedy {
-		eps, err := a.RunEpisodes(ev, 1, learn)
-		if err != nil {
-			return nil, err
-		}
-		return eps[0], nil
-	}
-	st, err := a.state(ev)
+	eps, err := a.rollout(ev, 1, learn, greedy, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	t := nn.GetTape()
-	defer nn.PutTape(t)
-	probs, params, err := a.forward(t, st)
-	if err != nil {
-		return nil, err
-	}
-	strat, picks, err := a.decode(probs.Value, st.grouping, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	eval, err := ev.Evaluate(strat)
-	if err != nil {
-		return nil, err
-	}
-	reward := core.Reward(eval)
-	ep := &Episode{Strategy: strat, Eval: eval, Reward: reward, Greedy: true}
-	if !learn {
-		return ep, nil
-	}
-	if err := a.update(t, probs, params, ev.Graph.Name, [][]int{picks}, []float64{reward}); err != nil {
-		return nil, err
-	}
-	return ep, nil
+	return eps[0], nil
 }
 
 // maxParallelEvals bounds the rollout-evaluation worker pool.
@@ -351,8 +327,7 @@ func (in *incumbent) offer(score float64) {
 //
 // Decoding draws from the agent's RNG sequentially, so results are
 // deterministic for a given seed regardless of evaluation interleaving; for
-// k=1 and learn in either state it is step-for-step identical to the
-// sequential episode path.
+// k=1 it is RunEpisode with sampled decoding.
 func (a *Agent) RunEpisodes(ev *core.Evaluator, k int, learn bool) ([]*Episode, error) {
 	return a.RunEpisodesBounded(ev, k, learn, math.Inf(1))
 }
@@ -388,6 +363,13 @@ func evalParallel(k int, f func(i int) (*core.Evaluation, error)) ([]*core.Evalu
 // bound is fixed for the whole batch, so results are deterministic for a
 // given seed and bound regardless of evaluation interleaving.
 func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound float64) ([]*Episode, error) {
+	return a.rollout(ev, k, learn, false, bound)
+}
+
+// rollout is the one rollout body: decode k strategies from one forward pass
+// (argmax with greedy, sampled otherwise), evaluate them against bound, and
+// with learn apply the averaged policy-gradient update.
+func (a *Agent) rollout(ev *core.Evaluator, k int, learn, greedy bool, bound float64) ([]*Episode, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("agent: batch size must be positive, got %d", k)
 	}
@@ -406,7 +388,7 @@ func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound 
 	strats := make([]*strategy.Strategy, k)
 	picks := st.picksFor(k, probs.Value.Rows)
 	for i := 0; i < k; i++ {
-		strats[i], picks[i], err = a.decode(probs.Value, st.grouping, false, picks[i])
+		strats[i], picks[i], err = a.decode(probs.Value, st.grouping, greedy, picks[i])
 		if err != nil {
 			return nil, err
 		}
@@ -420,7 +402,7 @@ func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound 
 	eps := make([]*Episode, k)
 	rewards := make([]float64, k)
 	for i := range eps {
-		eps[i] = &Episode{Strategy: strats[i], Eval: evals[i], Reward: core.Reward(evals[i])}
+		eps[i] = &Episode{Strategy: strats[i], Eval: evals[i], Reward: core.Reward(evals[i]), Greedy: greedy}
 		rewards[i] = eps[i].Reward
 	}
 	if !learn {
@@ -513,6 +495,8 @@ func boundOrder(pre []float64) []int {
 // which maps each seed's pre-lowering bound to the order the seeds are
 // evaluated in.
 func (a *Agent) plan(ctx context.Context, ev *core.Evaluator, episodes int, seedOrder func(pre []float64) []int) (*core.Evaluation, error) {
+	a.planMu.Lock()
+	defer a.planMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -127,12 +127,13 @@ func (s *Spec) RegisterClusterFlags(fs *flag.FlagSet, defGPUs int) {
 	fs.IntVar(&s.GPUs, "gpus", defGPUs, "testbed size: 4, 8, 12 or 64 GPUs")
 }
 
-// RegisterSearchFlags binds -seed, -episodes and -batch-episodes.
+// RegisterSearchFlags binds -seed, -episodes and -batch-episodes. It does
+// not bind -exact: only planning prunes, so the planner CLI binds that flag
+// itself.
 func (s *Spec) RegisterSearchFlags(fs *flag.FlagSet, defEpisodes int) {
 	fs.Int64Var(&s.Seed, "seed", 1, "profiling and agent seed")
 	fs.IntVar(&s.Episodes, "episodes", defEpisodes, "RL episodes for strategy search")
 	fs.IntVar(&s.BatchEpisodes, "batch-episodes", 0, "rollout batch size per policy update (0 = default)")
-	fs.BoolVar(&s.Exact, "exact", false, "disable bound-based pruning (exhaustive cold path)")
 }
 
 // RegisterFaultFlags binds -faults, -fault-seed, -robust and -blend.

@@ -252,3 +252,69 @@ func TestEvaluateDeltaWithoutEnableDegrades(t *testing.T) {
 		t.Fatal("without EnableDelta the full path runs and keeps its DistGraph")
 	}
 }
+
+// TestEvaluateDeltaBoundedRobustWalk pins the bounded robust delta path: a
+// seeded walk with robustness and pruning armed ratchets its bound to the
+// best score seen, and every EvaluateDelta verdict (pruned or exact, with its
+// robust report) must equal EvaluateBounded on a twin evaluator. The
+// evaluation cache is off on both sides so every step runs the pipeline, and
+// delta is armed both before and after robustness.
+func TestEvaluateDeltaBoundedRobustWalk(t *testing.T) {
+	for _, deltaFirst := range []bool{true, false} {
+		build := func(delta bool) *Evaluator {
+			ev := evaluatorFor(t, "vgg19", 64, 4)
+			ev.Cache = nil
+			ev.EnablePruning(nil)
+			if delta && deltaFirst {
+				ev.EnableDelta(nil)
+			}
+			if err := ev.EnableRobustness(faults.Generate(ev.Cluster, faults.DefaultModel(3, 7)), 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if delta && !deltaFirst {
+				ev.EnableDelta(nil)
+			}
+			return ev
+		}
+		evD, evF := build(true), build(false)
+		m := evD.Cluster.NumDevices()
+		rng := rand.New(rand.NewSource(11))
+		inc := uniform(t, evD, strategy.MP)
+		bound := math.Inf(1)
+		pruned, ratchets := 0, 0
+		for step := 0; step < 32; step++ {
+			next := inc
+			if step > 0 {
+				next = mutateStrategy(inc, m, 1+rng.Intn(3), rng)
+			}
+			got, err := evD.EvaluateDelta(next, bound)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			want, err := evF.EvaluateBounded(next, bound)
+			if err != nil {
+				t.Fatalf("step %d bounded: %v", step, err)
+			}
+			if got.Pruned != want.Pruned || got.PrunedAt != want.PrunedAt ||
+				got.Score() != want.Score() || got.PerIter != want.PerIter ||
+				!reflect.DeepEqual(got.Robust, want.Robust) {
+				t.Fatalf("delta first %v, step %d: delta %+v (robust %+v), bounded %+v (robust %+v)",
+					deltaFirst, step, got, got.Robust, want, want.Robust)
+			}
+			if got.Pruned {
+				pruned++
+				continue
+			}
+			if sc := got.Score(); sc < bound {
+				bound, inc = sc, next
+				ratchets++
+			}
+		}
+		if pruned == 0 || ratchets < 2 {
+			t.Fatalf("delta first %v: walk pruned %d steps and moved its bound %d times", deltaFirst, pruned, ratchets)
+		}
+		if rep := evD.PipelineReport().Pruning; rep.DeltaCompiles == 0 {
+			t.Fatalf("delta first %v: walk never exercised the patch path: %+v", deltaFirst, rep)
+		}
+	}
+}

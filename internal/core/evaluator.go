@@ -149,8 +149,8 @@ type Evaluator struct {
 	// pipeline.
 	Delta *DeltaConfig
 	// dstates holds the retained delta baselines and their zero-diff memos,
-	// one per scenario tag; set by EnableDelta on the nominal evaluator and
-	// shared with no one.
+	// one per scenario tag; set by EnableDelta and shared with the scenario
+	// twins the way Cache and Lowered are.
 	dstates map[uint64]*deltaEntry
 	// bounds caches per-decision layouts for the analytic pre-lowering
 	// bound; set by EnablePruning, per twin.
@@ -208,21 +208,29 @@ const unscreened = -1.0
 // The planner orders its seed pool by that bound and passes it back here, so
 // no seed is screened twice.
 func (ev *Evaluator) EvaluateScreened(s *strategy.Strategy, bound, pre float64) (*Evaluation, error) {
+	return ev.evaluate(s, bound, pre, false)
+}
+
+// evaluate is the robustness wrapper shared by EvaluateScreened and
+// EvaluateDelta: it scores s on the nominal evaluator and, in robustness
+// mode, across every fault scenario, against the incumbent score bound.
+// delta selects the retained delta baselines as the lowering source.
+func (ev *Evaluator) evaluate(s *strategy.Strategy, bound, pre float64, delta bool) (*Evaluation, error) {
 	if ev.Robust == nil {
-		return ev.evaluateBounded(s, bound, pre)
+		return ev.evaluateBounded(s, bound, pre, delta)
 	}
 	tb := math.Inf(1)
 	if ev.Prune != nil && validBound(bound) {
 		tb = scoreToTime(bound, true)
 	}
-	e, err := ev.evaluateBounded(s, tb, pre)
+	e, err := ev.evaluateBounded(s, tb, pre, delta)
 	if err != nil || e.Pruned {
 		if e != nil && e.Pruned {
 			e.PrunedAt = bound
 		}
 		return e, err
 	}
-	rep, pruned, err := ev.Robust.reportBounded(ev.UseFIFO, s, e, bound)
+	rep, pruned, err := ev.Robust.reportBounded(ev.UseFIFO, s, e, bound, delta)
 	if err != nil {
 		return nil, fmt.Errorf("robustness %s: %w", ev.Graph.Name, err)
 	}
@@ -237,10 +245,14 @@ func (ev *Evaluator) EvaluateScreened(s *strategy.Strategy, bound, pre float64) 
 	return &out, nil
 }
 
-// evaluateBounded runs the compile → order → simulate pipeline against a
-// per-iteration time bound (+Inf disables pruning). pre is s's pre-lowering
-// bound, or unscreened to compute it here when the screen runs.
-func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float64) (*Evaluation, error) {
+// evaluateBounded runs the compile → screen → order → simulate pipeline
+// against a per-iteration time bound (+Inf disables pruning). pre is s's
+// pre-lowering bound, or unscreened to compute it here when the screen runs.
+// The lowering comes from the lowered-artifact cache, or with delta from the
+// retained delta baseline (see EvaluateDelta): a delta result carries no
+// DistGraph and seeds the zero-diff memo instead of the evaluation cache,
+// which it still reads.
+func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float64, delta bool) (*Evaluation, error) {
 	iters := ev.Iterations
 	if iters <= 0 {
 		iters = 3
@@ -251,6 +263,11 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float6
 		if hit, ok := ev.Cache.Get(key); ok {
 			e := *hit
 			e.Strategy = s
+			if delta {
+				// No evaluation from the delta path carries a DistGraph,
+				// cached or patched.
+				e.Dist = nil
+			}
 			return &e, nil
 		}
 	}
@@ -269,9 +286,16 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float6
 			return ev.prunedEval(s, timeBound, timeBound), nil
 		}
 	}
-	art, err := ev.lowered(s, iters)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", ev.Graph.Name, err)
+	var art *plan.Artifacts
+	var memo *Evaluation
+	var err error
+	if delta {
+		art, memo, err = ev.deltaLowered(s, iters)
+	} else {
+		art, err = ev.lowered(s, iters)
+	}
+	if err != nil || memo != nil {
+		return memo, err
 	}
 	// The simulator abort bound caps the full chained makespan: per-iteration
 	// bound × iterations, with slack for the pipeline fill/drain share that
@@ -303,7 +327,6 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float6
 	}
 	e := &Evaluation{
 		Strategy:    s,
-		Dist:        dg,
 		Result:      res,
 		PerIter:     perIteration(dg, res),
 		ComputeTime: res.ComputeTime / float64(iters),
@@ -312,6 +335,11 @@ func (ev *Evaluator) evaluateBounded(s *strategy.Strategy, timeBound, pre float6
 	if ev.Prune != nil {
 		ev.pipe.fullEval(time.Since(began))
 	}
+	if delta {
+		ev.dstates[ev.ScenarioTag].remember(ev.UseFIFO, e)
+		return e, nil
+	}
+	e.Dist = dg
 	if ev.Cache != nil {
 		ev.Cache.Put(key, e)
 	}
@@ -333,7 +361,7 @@ func (ev *Evaluator) lowered(s *strategy.Strategy, iters int) (*plan.Artifacts, 
 	}
 	a := plan.NewArtifacts(ev.Graph, ev.Cluster.Cluster, s, ev.Cost, iters, ev.Ablate)
 	if err := plan.Lower(a); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compile %s: %w", ev.Graph.Name, err)
 	}
 	ev.pipe.absorb(a.Metrics)
 	ev.pipe.lowered()

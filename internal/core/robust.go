@@ -91,6 +91,8 @@ func (ev *Evaluator) EnableRobustness(scs []*faults.Scenario, blend float64) err
 			Seed:        ev.Seed,
 			pipe:        ev.pipe,
 			Prune:       ev.Prune,
+			Delta:       ev.Delta,
+			dstates:     ev.dstates,
 		}
 		if ev.Prune != nil {
 			// Perturbed clusters change op times and can shift proportional
@@ -116,17 +118,16 @@ func quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// maxParallelScenarios bounds the per-call scenario evaluation fan-out.
-func maxParallelScenarios() int { return runtime.GOMAXPROCS(0) }
-
-// reportBounded evaluates s under every scenario (bounded parallel,
-// per-scenario results cached) and aggregates the RobustReport. scoreBound
-// is the incumbent's blended score (+Inf for exact evaluation): the robust
-// score satisfies Score ≥ Blend·√T_k for every scenario k, so each twin's
-// per-iteration time bound is (scoreBound/Blend)² — a candidate pruned under
-// any scenario provably cannot beat the incumbent, and reportBounded returns
-// pruned=true with a nil report.
-func (r *Robustness) reportBounded(useFIFO bool, s *strategy.Strategy, nominal *Evaluation, scoreBound float64) (*RobustReport, bool, error) {
+// reportBounded evaluates s under every scenario (per-scenario results
+// cached) and aggregates the RobustReport. scoreBound is the incumbent's
+// blended score (+Inf for exact evaluation): the robust score satisfies
+// Score ≥ Blend·√T_k for every scenario k, so each twin's per-iteration time
+// bound is (scoreBound/Blend)² — a candidate pruned under any scenario
+// provably cannot beat the incumbent, and reportBounded returns pruned=true
+// with a nil report. The twins run in parallel, or with delta one at a time
+// (the retained baselines mutate in place), stopping at the first failed or
+// pruned scenario.
+func (r *Robustness) reportBounded(useFIFO bool, s *strategy.Strategy, nominal *Evaluation, scoreBound float64, delta bool) (*RobustReport, bool, error) {
 	rep := &RobustReport{
 		Blend:         r.Blend,
 		Times:         make([]float64, len(r.evs)),
@@ -137,38 +138,48 @@ func (r *Robustness) reportBounded(useFIFO bool, s *strategy.Strategy, nominal *
 	}
 	errs := make([]error, len(r.evs))
 	pruned := make([]bool, len(r.evs))
-	sem := make(chan struct{}, maxParallelScenarios())
-	var wg sync.WaitGroup
-	for k := range r.evs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Value-copy the twin so the caller's execution-order choice
-			// (e.g. the planner's FIFO twin) applies; the cache key folds
-			// in both the order flag and the scenario tag.
-			sev := *r.evs[k]
-			sev.UseFIFO = useFIFO
-			tb := math.Inf(1)
-			if sev.Prune != nil && validBound(scoreBound) {
-				b := scoreBound / r.Blend
-				tb = b * b
-			}
-			e, err := sev.evaluateBounded(s, tb, unscreened)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			if e.Pruned {
-				pruned[k] = true
-				return
-			}
+	run := func(k int) {
+		// Value-copy the twin so the caller's execution-order choice
+		// (e.g. the planner's FIFO twin) applies; the cache key folds
+		// in both the order flag and the scenario tag.
+		sev := *r.evs[k]
+		sev.UseFIFO = useFIFO
+		tb := math.Inf(1)
+		if sev.Prune != nil && validBound(scoreBound) {
+			b := scoreBound / r.Blend
+			tb = b * b
+		}
+		e, err := sev.evaluateBounded(s, tb, unscreened, delta)
+		switch {
+		case err != nil:
+			errs[k] = err
+		case e.Pruned:
+			pruned[k] = true
+		default:
 			rep.Times[k] = e.PerIter
 			rep.OOMs[k] = e.Result.OOM()
-		}(k)
+		}
 	}
-	wg.Wait()
+	if delta {
+		for k := range r.evs {
+			if run(k); errs[k] != nil || pruned[k] {
+				break
+			}
+		}
+	} else {
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for k := range r.evs {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				run(k)
+			}(k)
+		}
+		wg.Wait()
+	}
 	for k, err := range errs {
 		if err != nil {
 			return nil, false, fmt.Errorf("scenario %s: %w", r.Scenarios[k].Name, err)

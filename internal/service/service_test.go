@@ -495,6 +495,31 @@ func TestReplanWhileSourceFinishes(t *testing.T) {
 	}
 }
 
+// TestConcurrentReplansShareAgent runs two replans of one finished source at
+// once on two workers. Both reuse the source runner's warm agent (the device
+// count matches), so under -race this pins that planning on a shared agent is
+// serialized.
+func TestConcurrentReplansShareAgent(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	t.Cleanup(func() { _ = srv.Close() })
+	st, err := srv.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitState(t, srv, st.ID, JobDone)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		rp, err := srv.Replan(st.ID, ReplanRequest{GPUs: 4})
+		if err != nil {
+			t.Fatalf("replan %d: %v", i, err)
+		}
+		ids = append(ids, rp.ID)
+	}
+	for _, id := range ids {
+		waitState(t, srv, id, JobDone)
+	}
+}
+
 // cacheTotals sums hit counters across every warm set.
 type cacheTotals struct {
 	evalHits, lowHits uint64

@@ -214,8 +214,8 @@ func TestWatcherMalformedReadingsIgnored(t *testing.T) {
 	w.Observe(c,
 		Reading{Device: &DeviceReading{ID: -1, Slowdown: 5}},
 		Reading{Device: &DeviceReading{ID: 99, Slowdown: 5}},
-		Reading{Device: &DeviceReading{ID: 0, Slowdown: 0.2}},      // <1: not a slowdown
-		Reading{Device: &DeviceReading{ID: 0, MemFactor: 1.7}},     // >1: not a factor
+		Reading{Device: &DeviceReading{ID: 0, Slowdown: 0.2}},             // <1: not a slowdown
+		Reading{Device: &DeviceReading{ID: 0, MemFactor: 1.7}},            // >1: not a factor
 		Reading{Link: &LinkReading{Src: 0, Dst: 0, BandwidthFactor: 0.5}}, // self link
 		Reading{Link: &LinkReading{Src: 0, Dst: 99, BandwidthFactor: 0.5}},
 		Reading{}, // neither device nor link
