@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-robust bench-pipeline
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-robust
 
 # check is the tier-1 verification entry point: formatting, static analysis,
 # build, the full test suite, and the race detector over the
@@ -71,9 +71,3 @@ bench-smoke:
 # BENCH_robust.json (nominal/p95/worst-case per workload + replan gains).
 bench-robust:
 	$(GO) run ./cmd/heterog-bench -exp robust -faults 4 -fault-seed 1 -out BENCH_robust.json
-
-# bench-pipeline regenerates the planning-pipeline instrumentation exhibit
-# recorded in BENCH_pipeline.json (per-pass timings + recompiles avoided by
-# the lowered-artifact cache).
-bench-pipeline:
-	$(GO) run ./cmd/heterog-bench -exp pipeline -out BENCH_pipeline.json

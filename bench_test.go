@@ -545,13 +545,13 @@ func BenchmarkSimReuse(b *testing.B) {
 	}
 	pr := sched.Ranks(dg)
 	sm := sim.NewSimulator()
-	if _, err := sm.Run(dg, pr); err != nil { // warm the buffers
+	if _, err := sm.RunBounded(dg, pr, math.Inf(1)); err != nil { // warm the buffers
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sm.Run(dg, pr); err != nil {
+		if _, err := sm.RunBounded(dg, pr, math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,12 +33,12 @@ type CacheSet struct {
 	lowered *evalcache.Cache[*planir.Artifacts]
 }
 
-// NewCacheSet builds a cache set with the given capacities; values <= 0
-// select the package defaults (evalcache.DefaultCapacity).
-func NewCacheSet(evalCap, loweredCap int) *CacheSet {
+// NewCacheSet builds a cache set whose two caches hold
+// evalcache.DefaultCapacity entries each.
+func NewCacheSet() *CacheSet {
 	return &CacheSet{
-		eval:    evalcache.New[*core.Evaluation](evalCap),
-		lowered: evalcache.New[*planir.Artifacts](loweredCap),
+		eval:    evalcache.New[*core.Evaluation](evalcache.DefaultCapacity),
+		lowered: evalcache.New[*planir.Artifacts](evalcache.DefaultCapacity),
 	}
 }
 

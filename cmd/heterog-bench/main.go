@@ -39,7 +39,7 @@ func writeJSON(path string, v any) error {
 func main() {
 	log.SetFlags(0)
 	var spec cli.Spec
-	exp := flag.String("exp", "table1", "exhibit: table1,table2,table3,table4,table5,table6,table7,fig3a,fig3b,fig8,fig9,fig12,ablation,appendix,pipeline,robust,all")
+	exp := flag.String("exp", "table1", "exhibit: table1,table2,table3,table4,table5,table6,table7,fig3a,fig3b,fig8,fig9,fig12,ablation,appendix,robust,all")
 	flag.IntVar(&spec.Episodes, "episodes", 6, "RL episodes per model when planning HeteroG strategies")
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed")
 	unseen := flag.String("unseen", "", "comma-separated held-out models for table6")
@@ -119,15 +119,6 @@ func main() {
 					return werr
 				}
 				fmt.Printf("robustness rows saved to %s\n", *out)
-			}
-		case "pipeline":
-			var rows []experiments.PipelineRow
-			rep, rows, err = lab.Pipeline()
-			if err == nil && *out != "" {
-				if werr := writeJSON(*out, rows); werr != nil {
-					return werr
-				}
-				fmt.Printf("pipeline rows saved to %s\n", *out)
 			}
 		case "appendix":
 			rep, _, err = experiments.Appendix()

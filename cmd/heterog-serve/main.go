@@ -42,9 +42,6 @@ func main() {
 	workers := flag.Int("workers", 0, "planning worker-pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 2x workers); full queue answers 429 + Retry-After")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job planning timeout (negative = none)")
-	evalCap := flag.Int("eval-cache-cap", 0, "evaluation-cache entries per workload warm set (0 = default)")
-	loweredCap := flag.Int("lowered-cache-cap", 0, "lowered-artifact cache entries per workload warm set (0 = default)")
-	warmSets := flag.Int("warm-sets", 0, "max distinct workloads with resident warm caches (0 = default)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	fleetGPUs := flag.Int("fleet-gpus", 0, "fleet mode: the server owns this testbed (4, 8, 12 or 64 GPUs) and leases slices of it to jobs; 0 = classic mode (each job brings its own cluster)")
 	storeDir := flag.String("store", "", "durable store directory: jobs, event logs, leases and warm artifacts survive restarts (empty = in-memory, restart starts empty)")
@@ -54,13 +51,10 @@ func main() {
 	flag.Parse()
 
 	cfg := service.Config{
-		Workers:             *workers,
-		QueueDepth:          *queue,
-		JobTimeout:          *jobTimeout,
-		EvalCacheEntries:    *evalCap,
-		LoweredCacheEntries: *loweredCap,
-		MaxWarmSets:         *warmSets,
-		NodeID:              *nodeID,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		JobTimeout: *jobTimeout,
+		NodeID:     *nodeID,
 	}
 	if *peersCSV != "" {
 		for _, p := range strings.Split(*peersCSV, ",") {

@@ -16,7 +16,7 @@
 // DESIGN.md for the substitution rationale).
 //
 // Configuration is expressed through functional Options (WithEpisodes,
-// WithSeed, WithDefaultOrder, WithAgent, WithBatchEpisodes, WithRobustness,
+// WithSeed, WithDefaultOrder, WithBatchEpisodes, WithRobustness,
 // WithFaultSeed, ...); nil Options are skipped.
 //
 // Clusters degrade in production: WithRobustness makes planning score every
@@ -74,8 +74,10 @@ type settings struct {
 	episodes        int
 	seed            int64
 	useDefaultOrder bool
-	agent           *agent.Agent
-	batchEpisodes   int
+	// agent, set only by ReplanView, is the warm agent of the runner being
+	// replanned (nil = a fresh agent).
+	agent         *agent.Agent
+	batchEpisodes int
 	// robustness: faultK scenarios drawn from faultSeed, worst-case blend.
 	faultK    int
 	faultSeed int64
@@ -118,12 +120,6 @@ func WithSeed(seed int64) Option {
 // the engine's FIFO order.
 func WithDefaultOrder() Option {
 	return func(s *settings) { s.useDefaultOrder = true }
-}
-
-// WithAgent plans with an existing strategy-search agent (e.g. one
-// pre-trained on other graphs) instead of a fresh one.
-func WithAgent(a *agent.Agent) Option {
-	return func(s *settings) { s.agent = a }
 }
 
 // WithBatchEpisodes sets the rollout batch size per policy update (0 keeps

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // GPUModel describes a GPU type. PeakTFLOPS is nominal single-precision
@@ -267,56 +266,6 @@ func (c *Cluster) TransferTime(src, dst int, bytes int64) float64 {
 		return 0
 	}
 	return l.Latency + float64(bytes)/l.Bandwidth
-}
-
-// TotalPower sums relative compute power over all devices.
-func (c *Cluster) TotalPower() float64 {
-	var p float64
-	for _, d := range c.Devices {
-		p += d.Model.Power
-	}
-	return p
-}
-
-// ProportionalReplicas allocates `total` replicas across devices in proportion
-// to their compute power, guaranteeing each device at least min replicas when
-// total >= len(devices)*min. Uses largest-remainder rounding so the counts
-// always sum to total.
-func (c *Cluster) ProportionalReplicas(total int) []int {
-	n := len(c.Devices)
-	counts := make([]int, n)
-	if total <= 0 || n == 0 {
-		return counts
-	}
-	tp := c.TotalPower()
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, 0, n)
-	assigned := 0
-	for i, d := range c.Devices {
-		exact := float64(total) * d.Model.Power / tp
-		counts[i] = int(exact)
-		assigned += counts[i]
-		rems = append(rems, rem{i, exact - float64(counts[i])})
-	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].frac != rems[b].frac {
-			return rems[a].frac > rems[b].frac
-		}
-		return rems[a].idx < rems[b].idx
-	})
-	for k := 0; assigned < total; k++ {
-		counts[rems[k%n].idx]++
-		assigned++
-	}
-	return counts
-}
-
-// DevicesOnServer returns device IDs hosted on the given server.
-func (c *Cluster) DevicesOnServer(server int) []int {
-	return append([]int(nil), c.Servers[server].Devices...)
 }
 
 // Testbed12 builds the paper's full 12-GPU, 5-server testbed:

@@ -11,8 +11,8 @@ import (
 // mapping back to the parent's device IDs. Every layer above this package
 // (profiling, planning, simulation, the RL agent, caches) consumes a *View;
 // the embedded *Cluster keeps the whole device/link API (NumDevices,
-// TransferTime, ProportionalReplicas, ...) available unchanged, so a view is
-// exactly as cheap to plan against as a standalone cluster.
+// LinkBetween, TransferTime, ...) available unchanged, so a view is exactly
+// as cheap to plan against as a standalone cluster.
 //
 // Ownership rules:
 //   - A View never aliases mutable state with its parent fleet: ViewOf copies
@@ -20,7 +20,7 @@ import (
 //     fleet pointer directly but is treated as immutable by every consumer
 //     (the planner only ever derives perturbed *copies* via Apply/
 //     ApplyObservations/WithoutDevice).
-//   - Derivations (Clone, WithoutDevice, ApplyObservations) preserve the
+//   - Derivations (WithoutDevice, ApplyObservations) preserve the
 //     fleet mapping: a perturbed or shrunken view still reports the original
 //     fleet device IDs for its survivors.
 //   - Local device IDs are dense [0,NumDevices) and are what plans, strategies
@@ -29,10 +29,6 @@ import (
 type View struct {
 	*Cluster
 
-	// fleet is the parent the view projects; nil for a free-standing view
-	// (one built directly from a whole cluster), in which case the view is
-	// its own fleet.
-	fleet *Cluster
 	// fleetIDs[local] is the parent fleet device ID for local device
 	// `local`. nil means the identity mapping (FullView).
 	fleetIDs []int
@@ -73,7 +69,7 @@ func (c *Cluster) ViewOf(deviceIDs ...int) (*View, error) {
 	}
 
 	sub := &Cluster{}
-	v := &View{Cluster: sub, fleet: c, fleetIDs: ids}
+	v := &View{Cluster: sub, fleetIDs: ids}
 
 	serverRemap := make(map[int]int, len(ids))
 	for local, id := range ids {
@@ -134,15 +130,6 @@ func shapeName(c *Cluster) string {
 	return "view[" + strings.Join(parts, "+") + "]"
 }
 
-// Fleet returns the parent fleet cluster, or the view's own cluster when the
-// view is free-standing.
-func (v *View) Fleet() *Cluster {
-	if v.fleet != nil {
-		return v.fleet
-	}
-	return v.Cluster
-}
-
 // IsFull reports whether the view covers its whole fleet with the identity
 // device mapping.
 func (v *View) IsFull() bool { return v.fleetIDs == nil }
@@ -168,42 +155,12 @@ func (v *View) FleetIDs() []int {
 	return append([]int(nil), v.fleetIDs...)
 }
 
-// LocalOf maps a fleet device ID to the view's local device ID, or -1 when
-// the device is outside the view.
-func (v *View) LocalOf(fleetID int) int {
-	if v.fleetIDs == nil {
-		if fleetID >= 0 && fleetID < len(v.Devices) {
-			return fleetID
-		}
-		return -1
-	}
-	// fleetIDs is sorted ascending by construction (ViewOf) and derivation
-	// (WithoutDevice preserves order).
-	i := sort.SearchInts(v.fleetIDs, fleetID)
-	if i < len(v.fleetIDs) && v.fleetIDs[i] == fleetID {
-		return i
-	}
-	return -1
-}
-
-// Clone returns a deep copy of the view. The projected cluster is cloned;
-// the fleet pointer and ID mapping are preserved (the fleet itself is
-// immutable shared state, never copied).
-func (v *View) Clone() *View {
-	return &View{
-		Cluster:  v.Cluster.Clone(),
-		fleet:    v.fleet,
-		fleetIDs: append([]int(nil), v.fleetIDs...),
-	}
-}
-
 // ApplyObservations returns a perturbed deep copy of the view with the
 // overlay applied (see Cluster.ApplyObservations); the fleet mapping carries
 // over unchanged so a drifted lease still knows which fleet devices it holds.
 func (v *View) ApplyObservations(o Overlay) *View {
 	return &View{
 		Cluster:  v.Cluster.ApplyObservations(o),
-		fleet:    v.fleet,
 		fleetIDs: append([]int(nil), v.fleetIDs...),
 	}
 }
@@ -216,7 +173,7 @@ func (v *View) WithoutDevice(local int) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &View{Cluster: sub, fleet: v.fleet}
+	out := &View{Cluster: sub}
 	if v.fleetIDs != nil {
 		out.fleetIDs = make([]int, 0, len(v.fleetIDs)-1)
 		for i, id := range v.fleetIDs {
@@ -226,8 +183,7 @@ func (v *View) WithoutDevice(local int) (*View, error) {
 		}
 	} else {
 		// The identity mapping is broken by the removal; materialize the
-		// survivors' fleet IDs and remember the parent explicitly.
-		out.fleet = v.Cluster
+		// survivors' fleet IDs.
 		out.fleetIDs = make([]int, 0, len(v.Devices)-1)
 		for i := range v.Devices {
 			if i != local {

@@ -136,20 +136,6 @@ func (dg *DistGraph) NCCLUnit() int {
 	return dg.NumUnits() - 1
 }
 
-// CommUnitsBetween returns the comm units a transfer from srcDev to dstDev
-// occupies: the shared PCIe bus within one server, or one source egress NIC
-// lane plus one destination ingress NIC lane across servers (round-robin
-// lane selection per server).
-func (dg *DistGraph) CommUnitsBetween(srcDev, dstDev int) []int {
-	ss := dg.Cluster.Devices[srcDev].Server
-	ds := dg.Cluster.Devices[dstDev].Server
-	if ss == ds {
-		return []int{dg.PCIeUnit(ss)}
-	}
-	out, in := dg.NICLanePair(ss, ds)
-	return []int{out, in}
-}
-
 // NICLanePair returns the units of a cross-server transfer from srcServer to
 // dstServer: the source NIC's next egress lane and the destination NIC's
 // next ingress lane, advancing both round-robins.

@@ -26,16 +26,20 @@ func TestUnitLayout(t *testing.T) {
 	}
 	// Intra-server transfers ride the PCIe bus; cross-server ones take one
 	// egress lane and one ingress lane.
-	intra := dg.CommUnitsBetween(0, 1)
-	if len(intra) != 1 || dg.UnitKindOf(intra[0]) != UnitComm {
-		t.Fatalf("intra-server units %v", intra)
+	s0, s1 := c.Devices[0].Server, c.Devices[2].Server
+	if c.Devices[1].Server != s0 || s1 == s0 {
+		t.Fatalf("testbed layout changed: devices 0,1,2 on servers %d,%d,%d", s0, c.Devices[1].Server, s1)
 	}
-	cross := dg.CommUnitsBetween(0, 2)
-	if len(cross) != 2 {
-		t.Fatalf("cross-server units %v", cross)
+	pcie := dg.PCIeUnit(s0)
+	if dg.UnitKindOf(pcie) != UnitComm {
+		t.Fatalf("intra-server unit %d is not a comm unit", pcie)
 	}
-	if cross[0] == cross[1] {
-		t.Fatal("cross-server transfer must hold two distinct units")
+	out, in := dg.NICLanePair(s0, s1)
+	if dg.UnitKindOf(out) != UnitComm || dg.UnitKindOf(in) != UnitComm {
+		t.Fatalf("cross-server units %d,%d are not comm units", out, in)
+	}
+	if out == in || out == pcie || in == pcie {
+		t.Fatalf("cross-server transfer must hold two distinct NIC units, got %d,%d (pcie %d)", out, in, pcie)
 	}
 }
 
@@ -44,13 +48,13 @@ func TestNICLaneRoundRobin(t *testing.T) {
 	dg := &DistGraph{Source: graph.New("x", 1), Cluster: c, PersistentBytes: make([]int64, 8)}
 	// Server 0 has two ingress lanes: consecutive inbound transfers must
 	// alternate between them.
-	a := dg.CommUnitsBetween(2, 0)[1]
-	b := dg.CommUnitsBetween(2, 0)[1]
+	src, dst := c.Devices[2].Server, c.Devices[0].Server
+	_, a := dg.NICLanePair(src, dst)
+	_, b := dg.NICLanePair(src, dst)
 	if a == b {
 		t.Fatal("100GbE ingress lanes must round-robin")
 	}
-	c2 := dg.CommUnitsBetween(2, 0)[1]
-	if c2 != a {
+	if _, c2 := dg.NICLanePair(src, dst); c2 != a {
 		t.Fatal("lane rotation must cycle with period 2")
 	}
 }

@@ -208,6 +208,91 @@ func TestEvaluateDeltaPrunesAgainstBound(t *testing.T) {
 	}
 }
 
+// TestEvaluateDeltaMemoChecksGeneration pins the zero-diff memo's
+// generation check. A proposal pruned after lowering has already rebased the
+// baseline onto itself, yet the memo still holds the previous baseline's
+// evaluation; proposing it again must re-simulate, not replay that memo.
+// The evaluation cache is off so every step reaches the delta path.
+func TestEvaluateDeltaMemoChecksGeneration(t *testing.T) {
+	build := func() *Evaluator {
+		ev := evaluatorFor(t, "vgg19", 64, 4)
+		ev.Cache = nil
+		ev.EnablePruning(nil)
+		return ev
+	}
+	evD, evF, probe := build(), build(), build()
+	evD.EnableDelta(nil)
+	a := uniform(t, evD, strategy.DPEvenPS)
+	first, err := evD.EvaluateDelta(a, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := evD.dstates[evD.ScenarioTag]
+
+	// A proposal that differs from the baseline and scores differently, so
+	// replaying the baseline's memo would show.
+	m := evD.Cluster.NumDevices()
+	rng := rand.New(rand.NewSource(13))
+	var b *strategy.Strategy
+	var want *Evaluation
+	for try := 0; try < 50 && b == nil; try++ {
+		c := mutateStrategy(a, m, 2, rng)
+		if en.ds.DiffCount(c) == 0 {
+			continue
+		}
+		if want, err = evF.EvaluateBounded(c, math.Inf(1)); err != nil {
+			t.Fatal(err)
+		}
+		if want.PerIter != first.PerIter {
+			b = c
+		}
+	}
+	if b == nil {
+		t.Fatal("no mutation changed the baseline's per-iteration time")
+	}
+
+	// Pick a bound between b's pre-lowering bound and its exact time that
+	// lets b through the pre-lowering screen but prunes it after lowering:
+	// by the post-lowering screen or a simulation abort.
+	bound := math.NaN()
+	pre := probe.preLowerBound(b)
+	for k := 0; k < 32 && math.IsNaN(bound); k++ {
+		try := pre + (want.PerIter-pre)*float64(k)/32
+		before := probe.PipelineReport().Pruning
+		e, err := probe.EvaluateBounded(b, try)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Pruned && probe.PipelineReport().Pruning.PrunedPreLower == before.PrunedPreLower {
+			bound = try
+		}
+	}
+	if math.IsNaN(bound) {
+		t.Fatal("no bound prunes the proposal after lowering")
+	}
+
+	gen := en.ds.Generation()
+	pruned, err := evD.EvaluateDelta(b, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pruned.Pruned {
+		t.Fatal("the bounded proposal must be pruned")
+	}
+	if en.ds.Generation() == gen || en.ranked.eval == nil || en.ranked.eval.PerIter != first.PerIter {
+		t.Fatal("setup: the pruned proposal must rebase the baseline and leave the old memo in place")
+	}
+
+	got, err := evD.EvaluateDelta(b, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PerIter != want.PerIter || got.Score() != want.Score() || got.Pruned != want.Pruned {
+		t.Fatalf("repeat of a post-lowering-pruned proposal: per-iter %v score %v pruned %v, want %v %v %v",
+			got.PerIter, got.Score(), got.Pruned, want.PerIter, want.Score(), want.Pruned)
+	}
+}
+
 // TestEvaluateDeltaGoldenTestbed64 extends the golden pin to the 64-device
 // regime, where the delta path's graphs are largest.
 func TestEvaluateDeltaGoldenTestbed64(t *testing.T) {

@@ -93,21 +93,6 @@ func (c *Cache[V]) Put(k Key, v V) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Purge drops every entry, keeping the counters.
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.byKey)
-}
-
 // Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

@@ -204,18 +204,3 @@ func (s *Scenario) Apply(c *cluster.View) *cluster.View {
 	pc.Name = c.Name + "+" + s.Name
 	return pc
 }
-
-// Survivors returns the degraded view after the scenario settles: the
-// perturbation of Apply with the failed device (if any) removed outright.
-// Surviving devices keep their fleet IDs. This is the topology to hand to a
-// replanner once the failure is permanent.
-func (s *Scenario) Survivors(c *cluster.View) (*cluster.View, error) {
-	pc := s.Apply(c)
-	if s.Failed < 0 {
-		return pc, nil
-	}
-	// The dead device's recovery penalty no longer applies once it is
-	// removed; undo the power scaling before dropping it so the survivors
-	// keep their Apply-perturbed state.
-	return pc.WithoutDevice(s.Failed)
-}

@@ -101,49 +101,6 @@ func TestApplyPerturbs(t *testing.T) {
 	}
 }
 
-func TestSurvivorsRemovesFailedDevice(t *testing.T) {
-	c := cluster.Testbed8().FullView()
-	scs := Generate(c, DefaultModel(64, 11))
-	var withFailure *Scenario
-	for _, s := range scs {
-		if s.Failed >= 0 {
-			withFailure = s
-			break
-		}
-	}
-	if withFailure == nil {
-		t.Fatal("no failure drawn in 64 scenarios; raise K or check FailureProb")
-	}
-	sv, err := withFailure.Survivors(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.NumDevices() != c.NumDevices()-1 {
-		t.Fatalf("survivors has %d devices, want %d", sv.NumDevices(), c.NumDevices()-1)
-	}
-	n := sv.NumDevices()
-	if got, want := sv.NumLinks(), n*(n-1); got != want {
-		t.Fatalf("survivors has %d links, want %d", got, want)
-	}
-	// A no-failure scenario's survivors are just the perturbation.
-	var noFailure *Scenario
-	for _, s := range scs {
-		if s.Failed < 0 {
-			noFailure = s
-			break
-		}
-	}
-	if noFailure != nil {
-		sv2, err := noFailure.Survivors(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv2.NumDevices() != c.NumDevices() {
-			t.Fatal("no-failure survivors must keep every device")
-		}
-	}
-}
-
 func TestApplyRejectsMismatchedCluster(t *testing.T) {
 	scs := Generate(cluster.Testbed8().FullView(), DefaultModel(1, 1))
 	defer func() {

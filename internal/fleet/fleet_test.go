@@ -20,7 +20,11 @@ import (
 // floor produces. commWeight tunes where returns stop.
 func fakeEstimate(commWeight float64) EstimateFunc {
 	return func(g *graph.Graph, v *cluster.View, seed int64) (float64, error) {
-		compute := 1.0 / v.TotalPower()
+		var power float64
+		for _, d := range v.Devices {
+			power += d.Model.Power
+		}
+		compute := 1.0 / power
 		servers := 0
 		for _, s := range v.Servers {
 			if len(s.Devices) > 0 {

@@ -53,11 +53,6 @@ func DefaultConfig(inDim int) Config {
 	return Config{InDim: inDim, HiddenDim: 16, OutDim: 32, Layers: 2, Heads: 4}
 }
 
-// PaperConfig returns the paper's published GAT shape (12 layers, 8 heads).
-func PaperConfig(inDim int) Config {
-	return Config{InDim: inDim, HiddenDim: 16, OutDim: 64, Layers: 12, Heads: 8}
-}
-
 // New builds a GAT with Xavier-initialized weights.
 func New(cfg Config, rng *rand.Rand) (*GAT, error) {
 	if cfg.Layers < 1 || cfg.Heads < 1 || cfg.InDim < 1 || cfg.HiddenDim < 1 || cfg.OutDim < 1 {

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // OpKind identifies the computational flavour of an operation. The profiler
@@ -322,57 +321,4 @@ func (g *Graph) ComputeStats() Stats {
 		}
 	}
 	return s
-}
-
-// Hops computes, via BFS on the undirected version of the DAG, the hop
-// distance from each op to the nearest op in sources. Unreachable ops get -1.
-// The Strategy Maker uses this for nearest-neighbour grouping.
-func (g *Graph) Hops(sources []*Op) []int {
-	const inf = -1
-	dist := make([]int, len(g.Ops))
-	for i := range dist {
-		dist[i] = inf
-	}
-	adj := make([][]int, len(g.Ops))
-	for _, op := range g.Ops {
-		for _, in := range op.Inputs {
-			adj[op.ID] = append(adj[op.ID], in.ID)
-			adj[in.ID] = append(adj[in.ID], op.ID)
-		}
-	}
-	queue := make([]int, 0, len(sources))
-	for _, s := range sources {
-		dist[s.ID] = 0
-		queue = append(queue, s.ID)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] == inf {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// DOT renders the graph in Graphviz dot format for debugging.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.Name)
-	for _, op := range g.Ops {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", op.ID, fmt.Sprintf("%s\\n%s", op.Name, op.Kind))
-	}
-	for _, op := range g.Ops {
-		for _, in := range op.Inputs {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", in.ID, op.ID)
-		}
-		for _, in := range op.ControlDeps {
-			fmt.Fprintf(&b, "  n%d -> n%d [style=dashed];\n", in.ID, op.ID)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

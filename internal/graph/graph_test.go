@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -121,41 +120,6 @@ func TestComputeStats(t *testing.T) {
 	st := g.ComputeStats()
 	if st.Ops != 2 || st.Edges != 1 || st.ParamBytes != 300 || st.TotalFLOPs != 3e6 || st.ParamizedOps != 2 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestHops(t *testing.T) {
-	g := chainGraph(5)
-	d := g.Hops([]*Op{g.Ops[0]})
-	for i := 0; i < 5; i++ {
-		if d[i] != i {
-			t.Fatalf("hop[%d]=%d", i, d[i])
-		}
-	}
-	// Disconnected op gets -1.
-	lone := g.AddOp("lone", KindMatMul)
-	d = g.Hops([]*Op{g.Ops[0]})
-	if d[lone.ID] != -1 {
-		t.Fatalf("disconnected op hop = %d, want -1", d[lone.ID])
-	}
-}
-
-func TestHopsMultiSource(t *testing.T) {
-	g := chainGraph(7)
-	d := g.Hops([]*Op{g.Ops[0], g.Ops[6]})
-	if d[3] != 3 {
-		t.Fatalf("middle hop %d want 3", d[3])
-	}
-	if d[5] != 1 {
-		t.Fatalf("near-end hop %d want 1", d[5])
-	}
-}
-
-func TestDOTContainsNodesAndEdges(t *testing.T) {
-	g := chainGraph(3)
-	dot := g.DOT()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "n0 -> n1") {
-		t.Fatalf("unexpected DOT output:\n%s", dot)
 	}
 }
 

@@ -129,27 +129,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	target := FromRows([][]float64{{-1, 0.5}})
-	x := NewMatrix(1, 2)
-	opt := NewSGD(0.05, 0.9)
-	for step := 0; step < 300; step++ {
-		tp := NewTape()
-		xn := tp.Param(x)
-		diff := tp.Add(xn, tp.Scale(tp.Input(target), -1))
-		loss := tp.Sum(tp.Mul(diff, diff))
-		if err := tp.Backward(loss); err != nil {
-			t.Fatal(err)
-		}
-		opt.Step([]*Node{xn}, false)
-	}
-	for i, want := range target.Data {
-		if math.Abs(x.Data[i]-want) > 1e-3 {
-			t.Fatalf("SGD did not converge: x[%d]=%v want %v", i, x.Data[i], want)
-		}
-	}
-}
-
 func TestAdamMaximize(t *testing.T) {
 	// Maximize -(x-2)^2: should drive x toward 2.
 	x := NewMatrix(1, 1)

@@ -55,40 +55,6 @@ func (a *Adam) Step(params []*Node, maximize bool) {
 	}
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Matrix][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Matrix][]float64)}
-}
-
-// Step applies one descent (or ascent) update and zeroes gradients.
-func (s *SGD) Step(params []*Node, maximize bool) {
-	for _, p := range params {
-		w := p.Value
-		g := p.Grad
-		vel, ok := s.vel[w]
-		if !ok {
-			vel = make([]float64, len(w.Data))
-			s.vel[w] = vel
-		}
-		sign := -1.0
-		if maximize {
-			sign = 1.0
-		}
-		for i := range w.Data {
-			vel[i] = s.Momentum*vel[i] + g.Data[i]
-			w.Data[i] += sign * s.LR * vel[i]
-			g.Data[i] = 0
-		}
-	}
-}
-
 // ClipGradNorm rescales all gradients so their global L2 norm is at most max.
 func ClipGradNorm(params []*Node, max float64) float64 {
 	var total float64

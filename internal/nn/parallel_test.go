@@ -174,36 +174,22 @@ func TestKernelsBitEqualBanded(t *testing.T) {
 	}
 }
 
-// TestSoftmaxRowsBitEqualBanded checks the banded row softmax, masked and
-// unmasked, forward values and the gradient it passes back, against the
-// serial path at GOMAXPROCS 1 to 4. The mask leaves one row with no
-// position at all.
+// TestSoftmaxRowsBitEqualBanded checks the banded row softmax, forward
+// values and the gradient it passes back, against the serial path at
+// GOMAXPROCS 1 to 4.
 func TestSoftmaxRowsBitEqualBanded(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const rows, cols = 301, 450
 	x, w := randMat(rng, rows, cols), randMat(rng, rows, cols)
-	mask := NewMatrix(rows, cols)
-	for i := range mask.Data {
-		if rng.Intn(3) != 0 {
-			mask.Data[i] = 1
+	checkBandedBitEqual(t, "softmax", rows, rows*cols, func() []*Matrix {
+		tp := NewTape()
+		a := tp.Param(x)
+		y := tp.SoftmaxRows(a)
+		if err := tp.Backward(tp.Sum(tp.Mul(y, tp.Input(w)))); err != nil {
+			t.Fatal(err)
 		}
-	}
-	clear(mask.Row(rows / 2))
-	for _, m := range []*Matrix{nil, mask} {
-		name := "softmax"
-		if m != nil {
-			name = "masked softmax"
-		}
-		checkBandedBitEqual(t, name, rows, rows*cols, func() []*Matrix {
-			tp := NewTape()
-			a := tp.Param(x)
-			y := tp.softmaxRows(a, m)
-			if err := tp.Backward(tp.Sum(tp.Mul(y, tp.Input(w)))); err != nil {
-				t.Fatal(err)
-			}
-			return []*Matrix{y.Value, a.Grad}
-		})
-	}
+		return []*Matrix{y.Value, a.Grad}
+	})
 }
 
 // TestGraphAttentionBitEqualBanded checks the banded GraphAttention forward

@@ -326,64 +326,6 @@ func (t *Tape) AddRowVector(a, row *Node) *Node {
 	return n
 }
 
-// OuterSum records E[i][j] = colA[i] + colB[j] from two N x 1 columns.
-func (t *Tape) OuterSum(colA, colB *Node) *Node {
-	na, nb := colA.Value.Rows, colB.Value.Rows
-	v := t.alloc(na, nb)
-	for i := 0; i < na; i++ {
-		ai := colA.Value.Data[i]
-		r := v.Row(i)
-		for j := 0; j < nb; j++ {
-			r[j] = ai + colB.Value.Data[j]
-		}
-	}
-	n := t.node(v, colA, colB)
-	if n.requiresGrad {
-		n.back = func() {
-			for i := 0; i < na; i++ {
-				r := n.Grad.Row(i)
-				var sum float64
-				for j := 0; j < nb; j++ {
-					sum += r[j]
-				}
-				if colA.requiresGrad {
-					t.grad(colA).Data[i] += sum
-				}
-				if colB.requiresGrad {
-					gb := t.grad(colB).Data
-					for j := 0; j < nb; j++ {
-						gb[j] += r[j]
-					}
-				}
-			}
-		}
-	}
-	return n
-}
-
-// LeakyReLU records max(x, alpha*x).
-func (t *Tape) LeakyReLU(a *Node, alpha float64) *Node {
-	v := t.clone(a.Value)
-	for i, x := range v.Data {
-		if x < 0 {
-			v.Data[i] = alpha * x
-		}
-	}
-	n := t.node(v, a)
-	if n.requiresGrad {
-		n.back = func() {
-			ga := t.grad(a).Data
-			for i, g := range n.Grad.Data {
-				if a.Value.Data[i] < 0 {
-					g *= alpha
-				}
-				ga[i] += g
-			}
-		}
-	}
-	return n
-}
-
 // ELU records x for x>0, alpha*(e^x - 1) otherwise.
 func (t *Tape) ELU(a *Node, alpha float64) *Node {
 	v := t.clone(a.Value)
@@ -407,48 +349,15 @@ func (t *Tape) ELU(a *Node, alpha float64) *Node {
 	return n
 }
 
-// Tanh records the elementwise hyperbolic tangent.
-func (t *Tape) Tanh(a *Node) *Node {
-	v := t.clone(a.Value)
-	for i, x := range v.Data {
-		v.Data[i] = math.Tanh(x)
-	}
-	n := t.node(v, a)
-	if n.requiresGrad {
-		n.back = func() {
-			ga := t.grad(a).Data
-			for i, g := range n.Grad.Data {
-				y := n.Value.Data[i]
-				ga[i] += g * (1 - y*y)
-			}
-		}
-	}
-	return n
-}
-
-// MaskedSoftmaxRows records a row-wise softmax restricted to positions where
-// mask (a constant matrix of the same shape) is non-zero; masked-out
-// positions get probability 0. Rows with an all-zero mask become all zeros.
-func (t *Tape) MaskedSoftmaxRows(a *Node, mask *Matrix) *Node {
-	if mask.Rows != a.Value.Rows || mask.Cols != a.Value.Cols {
-		panic("nn: MaskedSoftmaxRows mask shape mismatch")
-	}
-	return t.softmaxRows(a, mask)
-}
-
-// SoftmaxRows records an unmasked row-wise softmax.
-func (t *Tape) SoftmaxRows(a *Node) *Node { return t.softmaxRows(a, nil) }
-
-// softmaxRows is the row-wise softmax over the positions where mask is
-// non-zero; a nil mask keeps every position. Rows are independent, so both
+// SoftmaxRows records a row-wise softmax. Rows are independent, so both
 // passes run in row bands across cores.
-func (t *Tape) softmaxRows(a *Node, mask *Matrix) *Node {
+func (t *Tape) SoftmaxRows(a *Node) *Node {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	rows := v.Rows
 	if size := bandRows(rows, len(v.Data)); size < rows {
-		parallelRows(rows, size, func(lo, hi int) { softmaxBand(v, a.Value, mask, lo, hi) })
+		parallelRows(rows, size, func(lo, hi int) { softmaxBand(v, a.Value, lo, hi) })
 	} else {
-		softmaxBand(v, a.Value, mask, 0, rows)
+		softmaxBand(v, a.Value, 0, rows)
 	}
 	n := t.node(v, a)
 	if n.requiresGrad {
@@ -464,18 +373,14 @@ func (t *Tape) softmaxRows(a *Node, mask *Matrix) *Node {
 	return n
 }
 
-// softmaxBand writes rows [lo, hi) of the masked row softmax of x into v.
-func softmaxBand(v, x, mask *Matrix, lo, hi int) {
+// softmaxBand writes rows [lo, hi) of the row softmax of x into v.
+func softmaxBand(v, x *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		in := x.Row(i)
 		out := v.Row(i)
-		var mrow []float64
-		if mask != nil {
-			mrow = mask.Row(i)
-		}
 		maxv := math.Inf(-1)
-		for j, x := range in {
-			if (mrow == nil || mrow[j] != 0) && x > maxv {
+		for _, x := range in {
+			if x > maxv {
 				maxv = x
 			}
 		}
@@ -484,10 +389,8 @@ func softmaxBand(v, x, mask *Matrix, lo, hi int) {
 		}
 		var sum float64
 		for j, x := range in {
-			if mrow == nil || mrow[j] != 0 {
-				out[j] = math.Exp(x - maxv)
-				sum += out[j]
-			}
+			out[j] = math.Exp(x - maxv)
+			sum += out[j]
 		}
 		for j := range out {
 			out[j] /= sum

@@ -52,12 +52,6 @@ type AggContext struct {
 	moved  int64
 }
 
-// Cluster returns the target cluster.
-func (ctx *AggContext) Cluster() *cluster.Cluster { return ctx.a.Cluster }
-
-// Ablations returns the active ablation switches.
-func (ctx *AggContext) Ablations() compiler.Ablations { return ctx.a.Ablate }
-
 // Cost returns the cost model.
 func (ctx *AggContext) Cost() compiler.Coster { return ctx.a.Cost }
 

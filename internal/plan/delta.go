@@ -79,10 +79,6 @@ func NewDeltaState(g *graph.Graph, c *cluster.Cluster, s *strategy.Strategy, cos
 	return d, nil
 }
 
-// Artifacts returns the current baseline artifacts (nil only after a failed
-// rebuild).
-func (d *DeltaState) Artifacts() *Artifacts { return d.art }
-
 // Generation identifies the current baseline artifacts: it advances on every
 // Apply that rebuilt or patched them, and stays put across Applies that found
 // a zero diff. Callers memoizing results derived from the artifacts (an

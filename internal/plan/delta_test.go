@@ -181,7 +181,7 @@ func TestDeltaNoChangeReturnsBaselineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ds.Artifacts()
+	base := ds.art
 	twin := strategy.Uniform(gr, strategy.Decision{Kind: strategy.DPEvenPS})
 	art, st, err := ds.Apply(twin)
 	if err != nil {

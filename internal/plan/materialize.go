@@ -59,9 +59,9 @@ func (MaterializePass) Run(a *Artifacts) error {
 	return nil
 }
 
-// sendUnits assigns a transfer its comm units, as dg.CommUnitsBetween does:
-// the shared PCIe bus within a server, else the next egress lane of the
-// source NIC and ingress lane of the destination NIC.
+// sendUnits assigns a transfer its comm units: the shared PCIe bus within a
+// server, else the next egress lane of the source NIC and ingress lane of the
+// destination NIC.
 func sendUnits(a *Artifacts, dg *compiler.DistGraph, n *Node) []int {
 	ss := a.Cluster.Devices[n.SrcDev].Server
 	ds := a.Cluster.Devices[n.DstDev].Server

@@ -49,11 +49,6 @@ func DefaultConfig(inDim, actions int) Config {
 	return Config{InDim: inDim, Dim: 32, FFDim: 64, Blocks: 2, Actions: actions}
 }
 
-// PaperConfig returns the paper's published 8-block strategy network.
-func PaperConfig(inDim, actions int) Config {
-	return Config{InDim: inDim, Dim: 64, FFDim: 128, Blocks: 8, Actions: actions}
-}
-
 // New builds a strategy network with Xavier-initialized weights.
 func New(cfg Config, rng *rand.Rand) (*Network, error) {
 	if cfg.InDim < 1 || cfg.Dim < 1 || cfg.FFDim < 1 || cfg.Blocks < 1 || cfg.Actions < 2 {

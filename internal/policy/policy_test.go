@@ -144,10 +144,3 @@ func TestDeterministicForward(t *testing.T) {
 		}
 	}
 }
-
-func TestPaperConfigDepth(t *testing.T) {
-	cfg := PaperConfig(64, 12)
-	if cfg.Blocks != 8 {
-		t.Fatalf("paper config has %d blocks, want 8", cfg.Blocks)
-	}
-}

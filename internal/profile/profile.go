@@ -217,7 +217,7 @@ func Profile(g *graph.Graph, c *cluster.Cluster, opts Options) (*CostModel, erro
 		ys := make([]float64, 0, len(sizes))
 		for _, s := range sizes {
 			xs = append(xs, float64(s))
-			ys = append(ys, noise(l.Latency+float64(s)/l.Bandwidth))
+			ys = append(ys, noise(c.TransferTime(l.Src, l.Dst, s)))
 		}
 		reg, err := fitLeastSquares(xs, ys)
 		if err != nil {
@@ -227,9 +227,6 @@ func Profile(g *graph.Graph, c *cluster.Cluster, opts Options) (*CostModel, erro
 	}
 	return cm, nil
 }
-
-// Cluster returns the topology this model was profiled on.
-func (cm *CostModel) Cluster() *cluster.Cluster { return cm.cluster }
 
 // Perturbed derives a cost model for a fault-perturbed twin of the profiled
 // cluster without re-profiling: per-op regressions on device d are scaled by

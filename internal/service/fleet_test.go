@@ -19,7 +19,11 @@ import (
 func fleetEstimate(commWeight float64) fleet.EstimateFunc {
 	return func(g *graph.Graph, v *cluster.View, seed int64) (float64, error) {
 		servers := float64(len(v.Servers))
-		compute := 1.0 / v.TotalPower()
+		var power float64
+		for _, d := range v.Devices {
+			power += d.Model.Power
+		}
+		compute := 1.0 / power
 		comm := commWeight * (servers - 1) / servers
 		if comm > compute {
 			return comm, nil

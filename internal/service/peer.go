@@ -25,6 +25,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"heterog/internal/cli"
 	"heterog/internal/evalcache"
@@ -46,6 +47,9 @@ type PeerStats struct {
 	FetchErrors uint64 `json:"fetch_errors,omitempty"`
 }
 
+// peerTimeout bounds one peer artifact fetch.
+const peerTimeout = 5 * time.Second
+
 // peerState is the server's exchange-side state (counters under s.mu).
 type peerState struct {
 	stats  PeerStats
@@ -56,7 +60,7 @@ func (s *Server) peerClient() *http.Client {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.peer.client == nil {
-		s.peer.client = &http.Client{Timeout: s.cfg.PeerTimeout}
+		s.peer.client = &http.Client{Timeout: peerTimeout}
 	}
 	return s.peer.client
 }

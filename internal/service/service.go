@@ -73,9 +73,6 @@ type Config struct {
 	// RetryAfter is the backpressure hint returned with queue-full
 	// rejections (default 2s).
 	RetryAfter time.Duration
-	// EvalCacheEntries and LoweredCacheEntries size each warm set's two
-	// caches (default evalcache.DefaultCapacity each).
-	EvalCacheEntries, LoweredCacheEntries int
 	// MaxWarmSets bounds how many distinct workloads keep warm caches
 	// resident; the least recently used set is dropped beyond it
 	// (default 16).
@@ -102,8 +99,6 @@ type Config struct {
 	// warm-cache exchange: a cold workload first tries the local artifact
 	// store, then asks each peer for its exported artifact (see peer.go).
 	Peers []string
-	// PeerTimeout bounds one peer artifact fetch (default 5s).
-	PeerTimeout time.Duration
 
 	// fleetEstimate overrides the fleet allocator's per-iteration time
 	// estimator (default core.EstimateLeaseTime). A test seam; ignored
@@ -129,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 5 * time.Second
 	}
 	// Fleet mode moves admission control into the allocator (jobs wait for a
 	// lease instead of being rejected), so the queue only ever holds jobs
@@ -296,7 +288,7 @@ func (s *Server) warmSetFor(key evalcache.Key) *warmSet {
 	if ws == nil {
 		ws = &warmSet{
 			key:    key,
-			caches: heterog.NewCacheSet(s.cfg.EvalCacheEntries, s.cfg.LoweredCacheEntries),
+			caches: heterog.NewCacheSet(),
 		}
 		s.warm[key] = ws
 		for len(s.warm) > s.cfg.MaxWarmSets {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestSimulatorReuseBitIdentical(t *testing.T) {
 	dgB, prB := reuseCase(t, "mobilenet_v2", 48, strategy.DPPropPS)
 
 	fresh := func(dg *compiler.DistGraph, pr []float64) *Result {
-		r, err := NewSimulator().Run(dg, pr)
+		r, err := NewSimulator().RunBounded(dg, pr, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +81,12 @@ func TestSimulatorReuseBitIdentical(t *testing.T) {
 
 	s := NewSimulator()
 	for i := 0; i < 3; i++ {
-		gotA, err := s.Run(dgA, prA)
+		gotA, err := s.RunBounded(dgA, prA, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, wantA, gotA, "reused A")
-		gotB, err := s.Run(dgB, prB)
+		gotB, err := s.RunBounded(dgB, prB, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,13 +106,13 @@ func TestSimulatorCloneOutlivesReuse(t *testing.T) {
 	dgA, prA := reuseCase(t, "vgg19", 64, strategy.DPEvenAR)
 	dgB, prB := reuseCase(t, "mobilenet_v2", 48, strategy.DPPropPS)
 	s := NewSimulator()
-	first, err := s.Run(dgA, prA)
+	first, err := s.RunBounded(dgA, prA, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := first.Clone()
 	want := kept.Clone()
-	if _, err := s.Run(dgB, prB); err != nil {
+	if _, err := s.RunBounded(dgB, prB, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, want, kept, "clone after reuse")
@@ -121,15 +122,15 @@ func TestSimulatorCloneOutlivesReuse(t *testing.T) {
 func TestSimulatorSteadyStateZeroAlloc(t *testing.T) {
 	dg, pr := reuseCase(t, "vgg19", 64, strategy.DPEvenAR)
 	s := NewSimulator()
-	if _, err := s.Run(dg, pr); err != nil { // warm the buffers
+	if _, err := s.RunBounded(dg, pr, math.Inf(1)); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Run(dg, pr); err != nil {
+		if _, err := s.RunBounded(dg, pr, math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state Simulator.Run allocates %.1f objects/run, want 0", allocs)
+		t.Fatalf("steady-state Simulator.RunBounded allocates %.1f objects/run, want 0", allocs)
 	}
 }

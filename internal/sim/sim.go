@@ -440,23 +440,21 @@ func (s *Simulator) reset(dg *compiler.DistGraph, priorities []float64) {
 	s.events = s.events[:0]
 }
 
-// Run simulates the distributed graph under the given per-op priorities
-// (use sched.Ranks for HeteroG's order, sched.FIFO for TensorFlow's
-// default), indexed by dense DistOp ID. Dispatch is greedy: whenever a unit
-// frees, it starts the highest-priority ready op all of whose units are idle.
+// RunBounded simulates the distributed graph under the given per-op
+// priorities (use sched.Ranks for HeteroG's order, sched.FIFO for
+// TensorFlow's default), indexed by dense DistOp ID. Dispatch is greedy:
+// whenever a unit frees, it starts the highest-priority ready op all of whose
+// units are idle.
+//
+// The run aborts early when the event clock crosses bound: the simulation
+// stops and returns (nil, ErrBoundExceeded). Because event times are popped
+// in nondecreasing order, crossing the bound certifies the final makespan
+// would exceed it — bounded runs that do complete are bit-identical to
+// unbounded ones. A non-positive or +Inf bound disables the abort. The abort
+// path performs no allocations beyond a completed run's own.
 //
 // The returned Result aliases the Simulator's reusable buffers: it is valid
-// until the next Run call on this Simulator. Clone it to retain it.
-func (s *Simulator) Run(dg *compiler.DistGraph, priorities []float64) (*Result, error) {
-	return s.RunBounded(dg, priorities, math.Inf(1))
-}
-
-// RunBounded is Run with an early abort: when the event clock crosses bound,
-// the simulation stops and returns (nil, ErrBoundExceeded). Because event
-// times are popped in nondecreasing order, crossing the bound certifies the
-// final makespan would exceed it — bounded runs that do complete are
-// bit-identical to unbounded ones. A non-positive or +Inf bound disables the
-// abort. The abort path performs no allocations beyond Run's own.
+// until the next RunBounded call on this Simulator. Clone it to retain it.
 func (s *Simulator) RunBounded(dg *compiler.DistGraph, priorities []float64, bound float64) (*Result, error) {
 	if bound <= 0 {
 		bound = math.Inf(1)

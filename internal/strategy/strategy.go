@@ -218,11 +218,6 @@ func (s *Strategy) Validate(c *cluster.Cluster) error {
 	return nil
 }
 
-// DecisionFor returns the decision applying to the given op.
-func (s *Strategy) DecisionFor(opID int) Decision {
-	return s.Decisions[s.Grouping.GroupOf[opID]]
-}
-
 // Uniform builds a strategy assigning the same decision to every group —
 // how the DP baselines (EV-PS/EV-AR/CP-PS/CP-AR) are expressed.
 func Uniform(gr *Grouping, d Decision) *Strategy {
@@ -235,27 +230,10 @@ func Uniform(gr *Grouping, d Decision) *Strategy {
 
 // Stats is the per-strategy operation share table (Tables 2 and 3): the
 // fraction of ops placed via MP on each device and via each DP scheme.
+// core.Evaluation.StrategyStats fills it.
 type Stats struct {
 	// MPShare[d] is the fraction of ops model-parallel on device d.
 	MPShare []float64
 	// DPShare maps each DP kind to its op fraction.
 	DPShare map[DecisionKind]float64
-}
-
-// ComputeStats tallies the fraction of graph ops under each decision.
-func (s *Strategy) ComputeStats(g *graph.Graph, numDevices int) Stats {
-	st := Stats{
-		MPShare: make([]float64, numDevices),
-		DPShare: map[DecisionKind]float64{DPEvenPS: 0, DPEvenAR: 0, DPPropPS: 0, DPPropAR: 0},
-	}
-	n := float64(g.NumOps())
-	for _, op := range g.Ops {
-		d := s.DecisionFor(op.ID)
-		if d.Kind == MP {
-			st.MPShare[d.Device] += 1 / n
-		} else {
-			st.DPShare[d.Kind] += 1 / n
-		}
-	}
-	return st
 }

@@ -188,7 +188,7 @@ func TestUniformAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range g.Ops {
-		if s.DecisionFor(op.ID).Kind != DPPropAR {
+		if s.Decisions[gr.GroupOf[op.ID]].Kind != DPPropAR {
 			t.Fatal("uniform strategy must apply everywhere")
 		}
 	}
@@ -204,30 +204,5 @@ func TestUniformAndValidate(t *testing.T) {
 	}
 	if err := (&Strategy{}).Validate(c); err == nil {
 		t.Fatal("nil grouping must fail validation")
-	}
-}
-
-func TestComputeStatsSumsToOne(t *testing.T) {
-	g := lineGraph(10)
-	gr, err := Group(g, constTimer{}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Uniform(gr, Decision{Kind: DPEvenAR})
-	s.Decisions[0] = Decision{Kind: MP, Device: 1}
-	s.Decisions[1] = Decision{Kind: DPPropPS}
-	st := s.ComputeStats(g, 4)
-	var total float64
-	for _, v := range st.MPShare {
-		total += v
-	}
-	for _, v := range st.DPShare {
-		total += v
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Fatalf("strategy shares sum to %v, want 1", total)
-	}
-	if st.MPShare[1] != 0.1 {
-		t.Fatalf("MP@1 share %v, want 0.1", st.MPShare[1])
 	}
 }

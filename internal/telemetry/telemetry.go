@@ -204,14 +204,8 @@ func ones(n int) []float64 {
 	return s
 }
 
-// Thresholds returns the normalized thresholds the watcher runs under.
-func (w *Watcher) Thresholds() Thresholds { return w.th }
-
 // Observations returns how many individual readings were folded in.
 func (w *Watcher) Observations() uint64 { return w.observations }
-
-// Trips returns how many drift episodes the watcher has fired.
-func (w *Watcher) Trips() uint64 { return w.trips }
 
 // linkIndex maps (src, dst) onto the dense link index used by cluster.Links:
 // the watcher stores link state positionally, so it needs the same ordering.

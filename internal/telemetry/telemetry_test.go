@@ -31,8 +31,8 @@ func TestWatcherOscillationBelowThresholdNeverFires(t *testing.T) {
 			}
 		}
 	}
-	if w.Trips() != 0 || w.Tripped() {
-		t.Fatalf("trips = %d tripped = %v, want 0/false", w.Trips(), w.Tripped())
+	if w.trips != 0 || w.Tripped() {
+		t.Fatalf("trips = %d tripped = %v, want 0/false", w.trips, w.Tripped())
 	}
 }
 
