@@ -32,7 +32,6 @@ func main() {
 	spec.RegisterClusterFlags(flag.CommandLine, 8)
 	spec.RegisterSearchFlags(flag.CommandLine, 4)
 	spec.RegisterFaultFlags(flag.CommandLine, 0)
-	flag.BoolVar(&spec.Exact, "exact", false, "disable bound-based pruning (exhaustive cold path)")
 	verbose := flag.Bool("v", false, "print per-unit busy times and evaluation-cache stats")
 	savePath := flag.String("save", "", "write the HeteroG strategy as JSON to this path")
 	tracePath := flag.String("trace", "", "write the simulated schedule as a Chrome trace to this path")
@@ -90,14 +89,9 @@ func main() {
 
 	acfg := agent.DefaultConfig(c.NumDevices())
 	acfg.Seed = spec.Seed
-	if spec.BatchEpisodes > 0 {
-		acfg.BatchEpisodes = spec.BatchEpisodes
-	}
-	if !spec.Exact {
-		// Cold-path pruning, winner-preserving; after EnableRobustness so
-		// scenario twins inherit the bound screens.
-		ev.EnablePruning(nil)
-	}
+	// Cold-path pruning, winner-preserving; after EnableRobustness so
+	// scenario twins inherit the bound screens.
+	ev.EnablePruning(nil)
 	ag, err := agent.New(acfg, c.NumDevices())
 	if err != nil {
 		log.Fatal(err)
@@ -140,7 +134,7 @@ func main() {
 		fmt.Printf("eval cache: %d hits / %d misses / %d evictions (%d entries)\n",
 			cs.Hits, cs.Misses, cs.Evictions, cs.Len)
 	}
-	if *verbose && !spec.Exact {
+	if *verbose {
 		pr := ev.PipelineReport().Pruning
 		fmt.Printf("pruning: %d bounds tried / %d pre-lowering / %d post-lowering / %d sims aborted (saved ~%s)\n",
 			pr.BoundsTried, pr.PrunedPreLower, pr.PrunedPostLower, pr.SimsAborted, pr.TimeSaved.Round(time.Millisecond))

@@ -2,7 +2,7 @@
 // replicas by queue depth and warm-cache affinity (a repeat workload goes to
 // the replica that already planned it, turning cold plans into warm cache
 // hits), forwards each submission to the winner, and reverse-proxies per-job
-// requests — status, reports, traces, event streams — to the owning replica.
+// requests — status, reports, traces, event logs — to the owning replica.
 //
 //	heterog-route -listen :7080 \
 //	  -backends http://replica-a:7070,http://replica-b:7070,http://replica-c:7070

@@ -52,9 +52,6 @@ func main() {
 
 	cfg := agent.DefaultConfig(c.NumDevices())
 	cfg.Seed = spec.Seed
-	if spec.BatchEpisodes > 0 {
-		cfg.BatchEpisodes = spec.BatchEpisodes
-	}
 	ag, err := agent.New(cfg, c.NumDevices())
 	if err != nil {
 		log.Fatal(err)

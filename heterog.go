@@ -16,8 +16,11 @@
 // DESIGN.md for the substitution rationale).
 //
 // Configuration is expressed through functional Options (WithEpisodes,
-// WithSeed, WithDefaultOrder, WithBatchEpisodes, WithRobustness,
-// WithFaultSeed, ...); nil Options are skipped.
+// WithSeed, WithRobustness, WithFaultSeed, ...); nil Options are skipped.
+// The execution order is not an option: as in the paper's heterog_config,
+// the planner ships the list schedule or the FIFO order, whichever runs the
+// winning strategy faster. Bound-based pruning is always on, because it
+// never changes the winner.
 //
 // Clusters degrade in production: WithRobustness makes planning score every
 // candidate across K deterministic fault scenarios (stragglers, contended
@@ -71,13 +74,11 @@ var (
 
 // settings is the resolved planning configuration assembled from Options.
 type settings struct {
-	episodes        int
-	seed            int64
-	useDefaultOrder bool
+	episodes int
+	seed     int64
 	// agent, set only by ReplanView, is the warm agent of the runner being
 	// replanned (nil = a fresh agent).
-	agent         *agent.Agent
-	batchEpisodes int
+	agent *agent.Agent
 	// robustness: faultK scenarios drawn from faultSeed, worst-case blend.
 	faultK    int
 	faultSeed int64
@@ -87,9 +88,6 @@ type settings struct {
 	// caches, when non-nil, is a shared warm-cache set replacing the private
 	// per-runner caches.
 	caches *CacheSet
-	// pruning gates bound-based candidate pruning (default on;
-	// WithPruning(false) restores exhaustive evaluation).
-	pruning bool
 	// drift, when non-nil, overrides the telemetry watcher thresholds built
 	// by Runner.Watcher (nil = telemetry package defaults).
 	drift *telemetry.Thresholds
@@ -99,7 +97,7 @@ type settings struct {
 }
 
 func defaultSettings() settings {
-	return settings{episodes: 6, seed: 1, faultSeed: 1, pruning: true}
+	return settings{episodes: 6, seed: 1, faultSeed: 1}
 }
 
 // Option configures GetRunner.
@@ -114,18 +112,6 @@ func WithEpisodes(n int) Option {
 // WithSeed sets the profiling and agent seed (default 1).
 func WithSeed(seed int64) Option {
 	return func(s *settings) { s.seed = seed }
-}
-
-// WithDefaultOrder disables HeteroG's execution-order scheduling and keeps
-// the engine's FIFO order.
-func WithDefaultOrder() Option {
-	return func(s *settings) { s.useDefaultOrder = true }
-}
-
-// WithBatchEpisodes sets the rollout batch size per policy update (0 keeps
-// the agent default).
-func WithBatchEpisodes(k int) Option {
-	return func(s *settings) { s.batchEpisodes = k }
 }
 
 // WithRobustness makes planning robustness-aware: every candidate strategy is
@@ -162,18 +148,6 @@ func WithContext(ctx context.Context) Option {
 // the caller must uphold.
 func WithCaches(cs *CacheSet) Option {
 	return func(s *settings) { s.caches = cs }
-}
-
-// WithPruning toggles bound-based candidate pruning during strategy search
-// (default on): candidates whose analytic lower bound already loses to the
-// incumbent are skipped before compilation, and simulations abort as soon as
-// their event clock certifies a loss. Pruning is winner-preserving — the
-// bounds are sound and comparisons strict, so the selected plan (and every
-// number reported for it) is identical to an exhaustive search; only the
-// side evaluations of discarded candidates are skipped. Pass false for
-// exhibits that need exact timings for every candidate, not just the winner.
-func WithPruning(on bool) Option {
-	return func(s *settings) { s.pruning = on }
 }
 
 // WithWarmStrategy warm-starts strategy search from a previously exported
@@ -302,24 +276,20 @@ func plan(g *graph.Graph, devices *cluster.View, cfg settings) (*Runner, error) 
 	if cfg.caches != nil {
 		cfg.caches.install(ev)
 	}
-	ev.UseFIFO = cfg.useDefaultOrder
 	if cfg.faultK > 0 {
 		scs := faults.Generate(devices, faults.DefaultModel(cfg.faultK, cfg.faultSeed))
 		if err := ev.EnableRobustness(scs, cfg.blend); err != nil {
 			return nil, fmt.Errorf("heterog: %w", err)
 		}
 	}
-	if cfg.pruning {
-		// After EnableRobustness so the scenario twins inherit the config.
-		ev.EnablePruning(nil)
-	}
+	// Bound-based pruning is winner-preserving (sound bounds, strict
+	// comparisons), so it is always on. After EnableRobustness so the
+	// scenario twins inherit the config.
+	ev.EnablePruning(nil)
 	ag := cfg.agent
 	if ag == nil {
 		acfg := agent.DefaultConfig(devices.NumDevices())
 		acfg.Seed = cfg.seed
-		if cfg.batchEpisodes > 0 {
-			acfg.BatchEpisodes = cfg.batchEpisodes
-		}
 		ag, err = agent.New(acfg, devices.NumDevices())
 		if err != nil {
 			return nil, err

@@ -50,8 +50,8 @@ func planOnce(t *testing.T, key string, batch int, pruned bool) *core.Evaluation
 	return e
 }
 
-// TestPrunedPlannerWinnerEquivalent is the equivalence guarantee behind the
-// WithPruning default: across the standard model zoo, the planner with
+// TestPrunedPlannerWinnerEquivalent is the equivalence guarantee behind
+// always-on pruning: across the standard model zoo, the planner with
 // bound screening and early-abort simulation armed selects a winner with
 // exactly the same score as the exhaustive planner, and the exhaustive
 // winner matches the checked-in golden so the guarantee cannot silently

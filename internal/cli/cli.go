@@ -6,7 +6,7 @@
 // A Spec names the model (a zoo model by key, or a serialized graph in the
 // internal/graph JSON wire format), the cluster (a canned testbed by GPU
 // count, or an explicit server-by-server description), and the search knobs
-// (episodes, seeds, execution order, fault/robustness configuration).
+// (episodes, seeds, fault/robustness configuration).
 package cli
 
 import (
@@ -95,10 +95,8 @@ type Spec struct {
 	GPUs    int          `json:"gpus,omitempty"`
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	// Search knobs, mirroring the public Options.
-	Seed          int64 `json:"seed,omitempty"`
-	Episodes      int   `json:"episodes,omitempty"`
-	BatchEpisodes int   `json:"batch_episodes,omitempty"`
-	DefaultOrder  bool  `json:"default_order,omitempty"`
+	Seed     int64 `json:"seed,omitempty"`
+	Episodes int   `json:"episodes,omitempty"`
 	// Fault knobs: FaultK scenarios from FaultSeed. Robust optimizes the
 	// blended nominal/worst-case objective during search; without it the
 	// plan is scored across the scenarios after the fact (report-only).
@@ -106,9 +104,6 @@ type Spec struct {
 	FaultSeed int64   `json:"fault_seed,omitempty"`
 	Robust    bool    `json:"robust,omitempty"`
 	Blend     float64 `json:"blend,omitempty"`
-	// Exact disables bound-based pruning, restoring the exhaustive cold path
-	// (exact timings for every candidate, not just the winner).
-	Exact bool `json:"exact,omitempty"`
 	// Telemetry overrides the drift-detection thresholds (EWMA alpha,
 	// trigger/clear hysteresis bands, overlay quantum) the planning service
 	// uses when this job's telemetry monitor watches pushed observations.
@@ -127,13 +122,10 @@ func (s *Spec) RegisterClusterFlags(fs *flag.FlagSet, defGPUs int) {
 	fs.IntVar(&s.GPUs, "gpus", defGPUs, "testbed size: 4, 8, 12 or 64 GPUs")
 }
 
-// RegisterSearchFlags binds -seed, -episodes and -batch-episodes. It does
-// not bind -exact: only planning prunes, so the planner CLI binds that flag
-// itself.
+// RegisterSearchFlags binds -seed and -episodes.
 func (s *Spec) RegisterSearchFlags(fs *flag.FlagSet, defEpisodes int) {
 	fs.Int64Var(&s.Seed, "seed", 1, "profiling and agent seed")
 	fs.IntVar(&s.Episodes, "episodes", defEpisodes, "RL episodes for strategy search")
-	fs.IntVar(&s.BatchEpisodes, "batch-episodes", 0, "rollout batch size per policy update (0 = default)")
 }
 
 // RegisterFaultFlags binds -faults, -fault-seed, -robust and -blend.

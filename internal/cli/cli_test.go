@@ -18,15 +18,14 @@ func TestFlagRegistrationMirrorsLegacyFlags(t *testing.T) {
 	s.RegisterFaultFlags(fs, 0)
 	err := fs.Parse([]string{
 		"-model", "resnet50", "-batch", "64", "-gpus", "4", "-seed", "7",
-		"-episodes", "2", "-batch-episodes", "3",
+		"-episodes", "2",
 		"-faults", "5", "-fault-seed", "9", "-robust", "-blend", "0.25",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Spec{
-		Model: "resnet50", Batch: 64, GPUs: 4, Seed: 7,
-		Episodes: 2, BatchEpisodes: 3,
+		Model: "resnet50", Batch: 64, GPUs: 4, Seed: 7, Episodes: 2,
 		FaultK: 5, FaultSeed: 9, Robust: true, Blend: 0.25,
 	}
 	if !reflect.DeepEqual(s, want) {
@@ -85,6 +84,9 @@ func TestBuildClusterTestbedsAndCustom(t *testing.T) {
 	bad := Spec{Cluster: &ClusterSpec{Servers: []ServerSpec{{GPUs: 1, GPU: "tpu", NICGbps: 10, PCIeGbps: 10}}}}
 	if _, err := bad.BuildCluster(); err == nil {
 		t.Fatal("unknown GPU model accepted")
+	}
+	if _, err := (&Spec{GPUs: 7}).BuildCluster(); err == nil {
+		t.Fatal("unknown testbed size accepted")
 	}
 }
 

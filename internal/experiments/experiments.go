@@ -11,7 +11,7 @@ import (
 
 	"heterog/internal/agent"
 	"heterog/internal/baselines"
-	"heterog/internal/cluster"
+	"heterog/internal/cli"
 	"heterog/internal/core"
 	"heterog/internal/models"
 	"heterog/internal/strategy"
@@ -100,19 +100,6 @@ func NewLab(cfg Config) *Lab {
 	}
 }
 
-func clusterFor(gpus int) (*cluster.Cluster, error) {
-	switch gpus {
-	case 4:
-		return cluster.Testbed4(), nil
-	case 8:
-		return cluster.Testbed8(), nil
-	case 12:
-		return cluster.Testbed12(), nil
-	default:
-		return nil, fmt.Errorf("no canned testbed with %d GPUs", gpus)
-	}
-}
-
 // Evaluator returns (building if needed) the evaluator for a workload.
 func (l *Lab) Evaluator(key string, batch, gpus int) (*core.Evaluator, error) {
 	l.mu.Lock()
@@ -121,7 +108,7 @@ func (l *Lab) Evaluator(key string, batch, gpus int) (*core.Evaluator, error) {
 	if ev, ok := l.evals[ck]; ok {
 		return ev, nil
 	}
-	c, err := clusterFor(gpus)
+	c, err := (&cli.Spec{GPUs: gpus}).BuildCluster()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"heterog"
+	"heterog/internal/cluster"
 	"heterog/internal/core"
 	"heterog/internal/faults"
 	"heterog/internal/graph"
@@ -87,10 +88,7 @@ func (l *Lab) robustRow(bm models.Benchmark, k int, faultSeed int64, robustObj b
 		// objective purely nominal but still produces the report.
 		opts = append(opts, heterog.WithRobustness(k, 1e-9))
 	}
-	cl, err := clusterFor(8)
-	if err != nil {
-		return nil, err
-	}
+	cl := cluster.Testbed8()
 	builder := func(b int) (*graph.Graph, error) { return models.Build(bm.Key, b) }
 	runner, err := heterog.GetRunner(
 		heterog.ZooModel(builder, bm.Batch8),

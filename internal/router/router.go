@@ -101,9 +101,7 @@ func New(cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("router: bad backend %q: %w", base, err)
 		}
-		proxy := httputil.NewSingleHostReverseProxy(u)
-		proxy.FlushInterval = -1 // stream SSE event frames as they arrive
-		rt.backends = append(rt.backends, &backend{base: base, proxy: proxy, artifacts: map[string]bool{}})
+		rt.backends = append(rt.backends, &backend{base: base, proxy: httputil.NewSingleHostReverseProxy(u), artifacts: map[string]bool{}})
 	}
 	return rt, nil
 }

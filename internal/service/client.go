@@ -1,11 +1,9 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,62 +21,11 @@ type Client struct {
 	BaseURL string
 	// HTTPClient overrides the transport (nil = http.DefaultClient).
 	HTTPClient *http.Client
-	// retry, when set, re-issues requests rejected with queue_full or
-	// draining (see WithRetry). Those codes guarantee the server did NOT
-	// accept the request, so retrying a POST never double-submits.
-	retry *RetryPolicy
 }
 
 // NewClient returns a client for the server at baseURL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
-}
-
-// RetryPolicy bounds the automatic retry loop enabled by WithRetry.
-type RetryPolicy struct {
-	// MaxAttempts caps total tries, first included (default 5).
-	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff used when the server sends no
-	// retry_after_ms hint (default 100ms); MaxBackoff caps each sleep either
-	// way (default 10s).
-	BaseBackoff, MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 5
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 10 * time.Second
-	}
-	return p
-}
-
-// WithRetry returns a copy of the client that transparently retries
-// backpressure rejections (queue_full, draining) with bounded exponential
-// backoff, honoring the server's retry_after_ms envelope hint when present.
-// Other errors — including every 4xx — still fail fast.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	cp := *c
-	pol := p.withDefaults()
-	cp.retry = &pol
-	return &cp
-}
-
-// retryable reports whether err is a backpressure rejection worth retrying,
-// and the server's backoff hint (0 when it sent none).
-func retryable(err error) (bool, time.Duration) {
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		return false, 0
-	}
-	if errors.Is(apiErr, ErrQueueFull) || errors.Is(apiErr, ErrDraining) {
-		return true, apiErr.RetryAfter
-	}
-	return false, 0
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -145,59 +92,21 @@ func decodeError(resp *http.Response) *APIError {
 }
 
 // do issues one request and decodes the JSON response into out (skipped when
-// out is nil). With a retry policy, backpressure rejections re-issue the
-// request after a backoff.
+// out is nil).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var raw []byte
+	var rd io.Reader
 	if body != nil {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
 			return err
 		}
-	}
-	var lastErr error
-	attempts := 1
-	if c.retry != nil {
-		attempts = c.retry.MaxAttempts
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			_, hint := retryable(lastErr)
-			backoff := hint
-			if backoff <= 0 {
-				backoff = c.retry.BaseBackoff << (attempt - 1)
-			}
-			if backoff > c.retry.MaxBackoff {
-				backoff = c.retry.MaxBackoff
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return lastErr
-			}
-		}
-		lastErr = c.doOnce(ctx, method, path, raw, out)
-		if lastErr == nil {
-			return nil
-		}
-		if ok, _ := retryable(lastErr); !ok {
-			return lastErr
-		}
-	}
-	return lastErr
-}
-
-// doOnce issues exactly one request.
-func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, out any) error {
-	var rd io.Reader
-	if raw != nil {
 		rd = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return err
 	}
-	if raw != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
@@ -361,118 +270,4 @@ func (c *Client) Healthz(ctx context.Context) error {
 // work; draining servers and servers with a failing durable store error.
 func (c *Client) Readyz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/v1/readyz", nil, nil)
-}
-
-// StreamEvents delivers a job's plan-update events with Seq > since to fn, in
-// order, until ctx fires or fn returns an error (which is returned). It
-// prefers the server-sent-events stream (?stream=1) and falls back to the
-// long-poll API against servers (or proxies) that do not speak SSE. A fired
-// ctx is a clean stop: StreamEvents returns nil.
-func (c *Client) StreamEvents(ctx context.Context, id string, since uint64, fn func(PlanEvent) error) error {
-	var backoff time.Duration
-	for {
-		streamed, last, err := c.streamSSE(ctx, id, since, fn)
-		progressed := last > since
-		since = last
-		if err != nil || ctx.Err() != nil {
-			if ctx.Err() != nil && err == nil {
-				return nil
-			}
-			return err
-		}
-		if !streamed {
-			break // server does not speak SSE; long-poll instead
-		}
-		// The SSE connection dropped (proxy timeout, server restart): resume
-		// from the last delivered seq — the dense numbering makes the
-		// reconnect gap-free. A connection that delivered nothing grows a
-		// backoff so a server or intermediary closing each stream on arrival
-		// is not hammered with reconnects.
-		if progressed {
-			backoff = 0
-			continue
-		}
-		if backoff == 0 {
-			backoff = 100 * time.Millisecond
-		} else {
-			backoff *= 2
-			if backoff > 5*time.Second {
-				backoff = 5 * time.Second
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(backoff):
-		}
-	}
-	for {
-		evs, err := c.Events(ctx, id, since, 30*time.Second)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		for _, ev := range evs {
-			if err := fn(ev); err != nil {
-				return err
-			}
-			since = ev.Seq
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-	}
-}
-
-// streamSSE runs one SSE connection. streamed=false means the server answered
-// with something other than an event stream (fall back); err!=nil means fn
-// failed or the response was an API error.
-func (c *Client) streamSSE(ctx context.Context, id string, since uint64, fn func(PlanEvent) error) (streamed bool, last uint64, err error) {
-	path := fmt.Sprintf("%s/v1/jobs/%s/events?stream=1&since=%d", c.BaseURL, id, since)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return false, since, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return true, since, nil
-		}
-		return false, since, nil // connection-level failure: try long-poll
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return false, since, decodeError(resp)
-	}
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		return false, since, nil
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	var data bytes.Buffer
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if data.Len() > 0 {
-				var ev PlanEvent
-				if err := json.Unmarshal(data.Bytes(), &ev); err != nil {
-					return true, since, fmt.Errorf("service: bad SSE event: %w", err)
-				}
-				data.Reset()
-				if err := fn(ev); err != nil {
-					return true, since, err
-				}
-				since = ev.Seq
-			}
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
-		default:
-			// id: lines duplicate Seq; ": keepalive" comments are ignored.
-		}
-	}
-	return true, since, nil // stream ended: reconnect or clean ctx stop
 }

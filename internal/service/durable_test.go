@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,129 +313,47 @@ func TestArtifactPublishedBeforeDone(t *testing.T) {
 	}
 }
 
-// TestSSEStreaming covers the streaming events endpoint at both levels: the
-// raw SSE wire format and the client's StreamEvents helper following a live
-// fleet job across frames.
-func TestSSEStreaming(t *testing.T) {
+// TestRetiredSpecFields covers the spec fields the planner now decides for
+// itself (exact, default_order, batch_episodes): a fresh submission that
+// still carries one is rejected as bad_request by the strict decoder, while a
+// job journaled with all three before they were retired still recovers,
+// because recovery decodes stored specs leniently, and plans to done.
+func TestRetiredSpecFields(t *testing.T) {
 	ctx := context.Background()
-	_, c := newTestServer(t, Config{Workers: 1, Fleet: cluster.Testbed8(), fleetEstimate: fleetEstimate(100)})
-
-	st, err := c.Submit(ctx, fleetSpec(2))
+	_, c := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(c.BaseURL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"model":"vgg19","batch":64,"gpus":4,"exact":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin, err := c.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != JobDone {
-		t.Fatalf("fleet job: %+v, %v", fin, err)
-	}
-
-	// Raw wire check: proper content type, id: lines carrying the seq.
-	resp, err := http.Get(c.BaseURL + "/v1/jobs/" + st.ID + "/events?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var sawID, sawData bool
-	for sc.Scan() && !(sawID && sawData) {
-		line := sc.Text()
-		sawID = sawID || line == "id: 1"
-		sawData = sawData || strings.HasPrefix(line, "data: {")
-	}
+	apiErr := decodeError(resp)
 	resp.Body.Close()
-	if !sawID || !sawData {
-		t.Fatalf("SSE frames missing id/data lines (sawID=%v sawData=%v)", sawID, sawData)
+	if apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("submit with exact = %v, want 400 %s", apiErr, CodeBadRequest)
 	}
 
-	// Client helper: collect the whole log, then cancel once we have the
-	// terminal lease-released event.
-	streamCtx, cancel := context.WithCancel(ctx)
+	mem := store.NewMem()
+	if err := mem.PutJob(store.JobRecord{
+		ID:          "job-000001",
+		Spec:        json.RawMessage(`{"model":"vgg19","batch":64,"gpus":4,"seed":1,"episodes":1,"exact":true,"default_order":true,"batch_episodes":2}`),
+		State:       string(JobQueued),
+		SubmittedAt: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(Config{Workers: 1, Store: mem})
+	if err != nil {
+		t.Fatalf("Open over a journal with retired spec fields: %v", err)
+	}
+	defer srv.Close()
+	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	var got []PlanEvent
-	err = c.StreamEvents(streamCtx, st.ID, 0, func(ev PlanEvent) error {
-		got = append(got, ev)
-		if ev.Type == EventLeaseReleased {
-			cancel()
-		}
-		return nil
-	})
+	fin, err := srv.Wait(waitCtx, "job-000001")
 	if err != nil {
-		t.Fatalf("StreamEvents: %v", err)
+		t.Fatal(err)
 	}
-	if len(got) == 0 {
-		t.Fatal("StreamEvents delivered no events")
-	}
-	for i, ev := range got {
-		if ev.Seq != uint64(i)+1 {
-			t.Fatalf("streamed seq %d at position %d: %v", ev.Seq, i, eventTypes(got))
-		}
-	}
-
-	// Streaming an unknown job reports not-found instead of hanging.
-	if err := c.StreamEvents(ctx, "job-999999", 0, func(PlanEvent) error { return nil }); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("StreamEvents(unknown) = %v, want ErrNotFound", err)
-	}
-}
-
-// TestClientRetry exercises WithRetry against a flaky in-test server: two
-// queue_full rejections with a retry_after_ms hint, then success. A
-// non-retryable error must fail fast.
-func TestClientRetry(t *testing.T) {
-	ctx := context.Background()
-	var posts atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			if posts.Add(1) <= 2 {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusTooManyRequests)
-				_ = json.NewEncoder(w).Encode(map[string]any{
-					"error": map[string]any{
-						"code": CodeQueueFull, "message": "queue full", "retry_after_ms": 5,
-					},
-				})
-				return
-			}
-			w.WriteHeader(http.StatusAccepted)
-			_ = json.NewEncoder(w).Encode(JobStatus{ID: "job-000001", State: JobQueued})
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer flaky.Close()
-
-	c := NewClient(flaky.URL).WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond})
-	st, err := c.Submit(ctx, quickSpec())
-	if err != nil {
-		t.Fatalf("submit through flaky server: %v", err)
-	}
-	if st.ID != "job-000001" || posts.Load() != 3 {
-		t.Fatalf("got %+v after %d posts, want success on attempt 3", st, posts.Load())
-	}
-
-	// Exhausted retries surface the backpressure error.
-	posts.Store(-100)
-	if _, err := c.Submit(ctx, quickSpec()); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("exhausted retries = %v, want ErrQueueFull", err)
-	}
-
-	// Non-retryable errors never retry.
-	var gets atomic.Int64
-	strict := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"error": map[string]any{"code": CodeNotFound, "message": "no such job"},
-		})
-	}))
-	defer strict.Close()
-	c2 := NewClient(strict.URL).WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond})
-	if _, err := c2.Status(ctx, "job-000404"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("status = %v, want ErrNotFound", err)
-	}
-	if gets.Load() != 1 {
-		t.Fatalf("non-retryable error retried: %d requests", gets.Load())
+	if fin.State != JobDone || !fin.Recovered {
+		t.Fatalf("recovered job = %s (recovered %v, %s), want done and recovered", fin.State, fin.Recovered, fin.Error)
 	}
 }
 

@@ -24,8 +24,7 @@ import (
 //	POST   /v1/jobs/{id}/replan    ReplanRequest              → 202 JobStatus
 //	POST   /v1/jobs/{id}/telemetry []telemetry.Reading        → 200 TelemetryAck
 //	GET    /v1/jobs/{id}/events    plan-update log (?since=N, ?wait=30s
-//	                               long-polls for events past N; ?stream=1
-//	                               upgrades to Server-Sent Events) → 200
+//	                               long-polls for events past N) → 200
 //	GET    /v1/fleet               fleet partition snapshot   → 200 FleetStatus
 //	                               (fleet-mode servers only; 404 otherwise)
 //	GET    /v1/stats               server + warm-cache stats  → 200 ServerStats
@@ -34,7 +33,6 @@ import (
 //	GET    /v1/healthz             liveness                   → 200
 //	GET    /v1/readyz              readiness (draining or a failing durable
 //	                               store answer 503)          → 200 / 503
-//	GET    /healthz                liveness (legacy path)     → 200
 //
 // Every non-2xx response carries the versioned error envelope
 //
@@ -123,7 +121,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/peer/artifact/{key}", s.handlePeerArtifact)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
@@ -293,10 +290,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		since = n
 	}
-	if r.URL.Query().Get("stream") == "1" {
-		s.streamEvents(w, r, id, since)
-		return
-	}
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil {
@@ -321,58 +314,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, evs)
-}
-
-// streamEvents serves a job's event log as Server-Sent Events: every event
-// past ?since= is pushed as one `data:` frame (with `id:` carrying Seq), new
-// events stream as they land, and a comment keepalive goes out during lulls so
-// intermediaries do not reap the connection. The stream stays open until the
-// client disconnects — events can keep arriving long after the job is done
-// (telemetry, lease churn).
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, id string, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, fmt.Errorf("streaming unsupported by this connection"))
-		return
-	}
-	if _, err := s.Status(id); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		waitCtx, cancel := context.WithTimeout(r.Context(), 15*time.Second)
-		evs, err := s.WaitEvents(waitCtx, id, since)
-		cancel()
-		if err != nil {
-			return // job evicted mid-stream; the closed stream is the signal
-		}
-		if len(evs) == 0 {
-			if r.Context().Err() != nil {
-				return
-			}
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-			continue
-		}
-		for _, ev := range evs {
-			payload, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, payload); err != nil {
-				return
-			}
-			since = ev.Seq
-		}
-		fl.Flush()
-	}
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {

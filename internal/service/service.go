@@ -658,20 +658,11 @@ func planOptions(spec *cli.Spec) []heterog.Option {
 	if spec.Seed != 0 {
 		opts = append(opts, heterog.WithSeed(spec.Seed))
 	}
-	if spec.DefaultOrder {
-		opts = append(opts, heterog.WithDefaultOrder())
-	}
-	if spec.BatchEpisodes > 0 {
-		opts = append(opts, heterog.WithBatchEpisodes(spec.BatchEpisodes))
-	}
 	if spec.Robust && spec.FaultK > 0 {
 		opts = append(opts, heterog.WithRobustness(spec.FaultK, spec.Blend))
 		if spec.FaultSeed != 0 {
 			opts = append(opts, heterog.WithFaultSeed(spec.FaultSeed))
 		}
-	}
-	if spec.Exact {
-		opts = append(opts, heterog.WithPruning(false))
 	}
 	if spec.Telemetry != nil {
 		opts = append(opts, heterog.WithTelemetryThresholds(*spec.Telemetry))
